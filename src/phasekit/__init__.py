@@ -8,7 +8,8 @@ from .contours import (ContourDescriptors, SymmetryReport, closeness, descriptor
                        symmetry_between)
 from .dimensions import (CorrelationCurve, DimensionEstimate, correlation_dimension,
                          correlation_integral, data_diameter, default_epsilons,
-                         generalized_curve, generalized_dimension, kaplan_yorke)
+                         fit_dimension, generalized_curve, generalized_dimension,
+                         kaplan_yorke)
 from .embedding import (DelayEmbedding, MIProfile, NeighborIndex, default_bins,
                         embed, embedding_to_series, knn_query,
                         mutual_information_profile, select_delay)
@@ -24,7 +25,7 @@ from .lyapunov import (DivergenceCurve, LyapunovSpectrum, RateEstimate,
                        SpectrumReport, WolfResult, benettin_data, benettin_exact,
                        divergence_rate, kantz_curve, rosenstein_curve,
                        spectrum_checks, wolf_lambda1)
-from .predict import (ErrorHistory, FeatureTransform, LocalStability,
+from .predict import (FeatureTransform, LocalStability,
                       NeighborhoodTableau, PredictorModel, SelectionResult,
                       StepwiseReport, build_tableau, composite_J,
                       confidence_value, e_psi, fit_predictor, layout_mask,
@@ -34,7 +35,8 @@ from .predict import (ErrorHistory, FeatureTransform, LocalStability,
 from .regressors import (LinearRegressor, MeanRegressor, SigmoidNetRegressor,
                          TrainConfig, train_regressor)
 from .series import (StandardizeRecord, TimeSeries, detrend, load_csv,
-                     read_numeric_table, save_csv, standardize)
+                     read_numeric_table, save_csv, standardize,
+                     write_numeric_table)
 from .systems import (ReferenceSystem, catalog, check_jacobian, integrate,
                       iterate, rk4_step, sample)
 
@@ -43,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisTerm", "ColdStartWarning", "ConfigError", "ContourDescriptors",
     "CorrelationCurve", "DegenerateDataError", "DelayEmbedding",
-    "DimensionEstimate", "DivergenceCurve", "DivergenceError", "ErrorHistory",
+    "DimensionEstimate", "DivergenceCurve", "DivergenceError",
     "FeatureTransform", "FormatError", "InsufficientDataError",
     "LinearRegressor", "LocalStability", "LyapunovSpectrum", "MIProfile",
     "MeanRegressor", "NeighborIndex", "NeighborhoodTableau",
@@ -57,11 +59,10 @@ __all__ = [
     "closeness", "composite_J", "confidence_value", "correlation_dimension",
     "correlation_integral", "data_diameter", "default_bins",
     "default_epsilons", "descriptors", "detrend", "dft", "divergence_rate",
-    "e_psi", "embed", "embedding_to_series", "estimate_x0", "fit_model",
-    "fit_percent",
-    "fit_predictor", "fit_scaling_region", "fit_slope", "generalized_curve",
-    "generalized_dimension", "idft", "integrate", "iterate", "kantz_curve",
-    "kaplan_yorke", "knn_query", "layout_mask", "load_contour", "load_csv",
+    "e_psi", "embed", "embedding_to_series", "estimate_x0", "fit_dimension",
+    "fit_model", "fit_percent", "fit_predictor", "fit_scaling_region",
+    "fit_slope", "generalized_curve", "generalized_dimension", "idft",
+    "integrate", "iterate", "kantz_curve", "kaplan_yorke", "knn_query", "layout_mask", "load_contour", "load_csv",
     "load_spectrum", "local_predict", "local_stability", "moving_average",
     "mutual_information_profile", "normalize", "parse_basis", "parse_term",
     "plane_rotation", "preprocess_features", "read_numeric_table",
@@ -70,4 +71,5 @@ __all__ = [
     "simulate", "smooth", "spectrum_checks", "standardize",
     "step_sign_feature", "stepwise_reconstruct", "successor_index",
     "symmetry_between", "train_regressor", "value_feature", "wolf_lambda1",
+    "write_numeric_table",
 ]

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document (stdout, or the file given with
---out) that echoes the resolved parameter map, so a run can be reproduced
+--out) whose "params" map echoes every flag of the command, with each
+default the command resolves itself (dt, x0, theiler, tau_max, bins, eps0,
+parsed lists) replaced by the value it used, so a run can be reproduced
 from its own output.  Floats in that document are formatted at 12
 significant digits; rerunning any command with the same inputs and seed
 yields byte-identical JSON.  Exit codes: 0 success, 1 computation failure,
@@ -33,7 +35,7 @@ from . import systems
 from .embedding import (NeighborIndex, embed, embedding_to_series,
                         mutual_information_profile, select_delay)
 from .errors import NoInteriorMinimumWarning, PhasekitError
-from .series import TimeSeries, load_csv, save_csv
+from .series import TimeSeries, load_csv, save_csv, write_numeric_table
 
 DEFAULT_SEED = 0
 
@@ -84,11 +86,10 @@ def _emit(payload: dict, out=None) -> None:
         out.write_text(text)
 
 
-def _write_curve_csv(path, xname, x, yname, y) -> None:
-    lines = [f"{xname},{yname}"]
-    for a, b in zip(x, y):
-        lines.append(f"{repr(float(a))},{repr(float(b))}")
-    _resolve_out(path).write_text("\n".join(lines) + "\n")
+def _params(args, **resolved) -> dict:
+    """Every parsed flag of the command, with the values it resolved itself."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return {**flags, **resolved}
 
 
 def _parse_floats(text: str) -> tuple:
@@ -104,12 +105,8 @@ def _load_series(args):
         if args.dt is not None:
             raise ValueError(
                 "--dt conflicts with --time-column; the step comes from the file")
-        series = load_csv(args.input, time_column=True)
-        args.dt = series.dt  # params echo the dt resolved from the file
-        return series
-    if args.dt is None:
-        args.dt = 1.0
-    return load_csv(args.input, dt=args.dt)
+        return load_csv(args.input, time_column=True)
+    return load_csv(args.input, dt=1.0 if args.dt is None else args.dt)
 
 
 def _load_embedding(args):
@@ -141,10 +138,8 @@ def cmd_simulate(args) -> dict:
     series = TimeSeries(values, dt=dt if system.kind == "flow" else 1.0)
     out = _resolve_out(args.out)
     save_csv(series, out)
-    params = {"system": args.system, "steps": args.steps, "dt": dt,
-              "x0": list(x0) if x0 is not None else list(system.x0_default),
-              "transient": args.transient, "noise": args.noise,
-              "seed": args.seed, "out": str(args.out)}
+    params = _params(args, dt=dt,
+                     x0=list(system.x0_default if x0 is None else x0))
     payload = {"command": "simulate", "params": params,
                "n_samples": series.n_samples, "n_channels": series.n_channels,
                "kind": system.kind}
@@ -165,9 +160,7 @@ def cmd_mi(args) -> dict:
         tau = select_delay(profile)
     interior = not any(issubclass(w.category, NoInteriorMinimumWarning)
                        for w in caught)
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "tau_max": tau_max,
-              "bins": profile.bins, "channel": args.channel, "seed": args.seed}
+    params = _params(args, dt=series.dt, tau_max=tau_max, bins=profile.bins)
     payload = {"command": "mi", "params": params,
                "taus": profile.taus, "values": profile.values,
                "selected_tau": tau, "interior_minimum": interior}
@@ -177,10 +170,7 @@ def cmd_mi(args) -> dict:
 
 def cmd_embed(args) -> dict:
     series, emb = _load_embedding(args)
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "m": args.m,
-              "tau": args.tau, "channel": args.channel, "seed": args.seed,
-              "out": str(args.out) if args.out else None}
+    params = _params(args, dt=series.dt)
     if args.out:
         save_csv(embedding_to_series(emb), _resolve_out(args.out))
     payload = {"command": "embed", "params": params,
@@ -202,20 +192,13 @@ def cmd_dimension(args) -> dict:
         log_eps = np.log2(curve.epsilons[usable])
         ordinate = np.log2(curve.values[usable])
     else:
-        epsilons, y = dim.generalized_curve(emb, args.q)
-        est = dim.generalized_dimension(emb, args.q, epsilons=epsilons,
-                                        fit_range=fit_range)
+        epsilons, ordinate = dim.generalized_curve(emb, args.q)
+        est = dim.fit_dimension(epsilons, ordinate, args.q, fit_range)
         log_eps = np.log2(epsilons)
-        ordinate = y
     if args.curve_out:
-        _write_curve_csv(args.curve_out, "log2_eps", log_eps,
-                         "ordinate", ordinate)
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "m": args.m,
-              "tau": args.tau, "channel": args.channel, "q": args.q, "theiler": theiler,
-              "fit_lo": args.fit_lo, "fit_hi": args.fit_hi,
-              "curve_out": str(args.curve_out) if args.curve_out else None,
-              "seed": args.seed}
+        write_numeric_table(_resolve_out(args.curve_out), ("log2_eps", "ordinate"),
+                            np.column_stack([log_eps, ordinate]))
+    params = _params(args, dt=series.dt, theiler=theiler)
     payload = {"command": "dimension", "params": params,
                "value": est.value, "stderr": est.stderr, "q": est.q,
                "window": list(est.window), "n_fit_points": est.n_fit_points,
@@ -227,16 +210,12 @@ def cmd_dimension(args) -> dict:
 def cmd_lyapunov(args) -> dict:
     series, emb = _load_embedding(args)
     theiler = emb.default_theiler() if args.theiler is None else args.theiler
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "m": args.m,
-              "tau": args.tau, "channel": args.channel, "method": args.method, "theiler": theiler,
-              "seed": args.seed}
-    payload = {"command": "lyapunov", "params": params, "method": args.method}
+    eps0 = args.eps0
+    payload = {"command": "lyapunov", "method": args.method}
 
     if args.method == "wolf":
         res = lyap.wolf_lambda1(emb, evolve_steps=args.evolve_steps,
                                 theiler=theiler)
-        params.update({"evolve_steps": args.evolve_steps})
         payload.update({"lambda1_per_sample": res.lambda1,
                         "lambda1_per_time": res.lambda1 / series.dt,
                         "segments": res.segments,
@@ -244,20 +223,16 @@ def cmd_lyapunov(args) -> dict:
     elif args.method in ("rosenstein", "kantz"):
         if args.method == "rosenstein":
             curve = lyap.rosenstein_curve(emb, args.horizon, theiler=theiler)
-            params.update({"horizon": args.horizon})
         else:
-            eps0 = args.eps0
             if eps0 is None:
                 eps0 = 0.01 * dim.data_diameter(emb.points)
             curve = lyap.kantz_curve(emb, eps0, args.horizon, theiler=theiler,
                                      n_refs=args.n_refs)
-            params.update({"horizon": args.horizon, "eps0": eps0,
-                           "n_refs": args.n_refs})
         rate = lyap.divergence_rate(curve, fit_range=_fit_range(args))
         if args.curve_out:
-            _write_curve_csv(args.curve_out, "offset", curve.offsets,
-                             "mean_log_distance", curve.values)
-        params.update({"fit_lo": args.fit_lo, "fit_hi": args.fit_hi})
+            write_numeric_table(_resolve_out(args.curve_out),
+                                ("offset", "mean_log_distance"),
+                                np.column_stack([curve.offsets, curve.values]))
         payload.update({"lambda1_per_sample": rate.value,
                         "lambda1_per_time": rate.value / series.dt,
                         "stderr": rate.stderr, "window": list(rate.window),
@@ -269,8 +244,6 @@ def cmd_lyapunov(args) -> dict:
                                       renorm_interval=args.renorm_interval,
                                       theiler=theiler)
         checks = lyap.spectrum_checks(spectrum, kind=args.kind)
-        params.update({"kind": args.kind, "k_neighbors": args.k_neighbors,
-                       "renorm_interval": args.renorm_interval})
         payload.update({
             "exponents": list(spectrum.exponents),
             "per_time": list(spectrum.per_time),
@@ -279,6 +252,7 @@ def cmd_lyapunov(args) -> dict:
                        "dissipative": checks.dissipative,
                        "zero_exponent_ok": checks.zero_exponent_ok,
                        "entropy_rate": checks.entropy_rate}})
+    payload["params"] = _params(args, dt=series.dt, theiler=theiler, eps0=eps0)
     _emit(payload, args.out)
     return payload
 
@@ -295,12 +269,7 @@ def cmd_identify(args) -> dict:
     model_json = json.loads(model.to_json())
     if args.model_out:
         _resolve_out(args.model_out).write_text(model.to_json() + "\n")
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "m": args.m,
-              "tau": args.tau, "channel": args.channel, "n": args.n, "basis": args.basis,
-              "mode": args.mode, "smooth_window": args.smooth_window,
-              "model_out": str(args.model_out) if args.model_out else None,
-              "seed": args.seed}
+    params = _params(args, dt=series.dt)
     payload = {"command": "identify", "params": params, "model": model_json,
                "fit": list(model.fit) if model.fit is not None else None,
                "residual_rms": list(model.residual_rms)}
@@ -324,12 +293,7 @@ def cmd_predict(args) -> dict:
     gated = j == 0.0 or (args.gate is not None and e_val >= args.gate)
     if gated:
         forecast = np.zeros_like(forecast)
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column, "m": args.m,
-              "tau": args.tau, "channel": args.channel,
-              "n_neighbors": args.n_neighbors,
-              "lambda_min": args.lambda_min, "gate": args.gate,
-              "theiler": theiler, "seed": args.seed}
+    params = _params(args, dt=series.dt, theiler=theiler)
     payload = {"command": "predict", "params": params,
                "config": {"m": args.m, "tau": args.tau,
                           "features": ["local_mean"]},
@@ -351,17 +315,13 @@ def cmd_stepwise(args) -> dict:
         raise ValueError(f"unknown features {unknown}; choose from "
                          f"{sorted(_FEATURES)}")
     feats = [_FEATURES[n]() for n in names]
-    report = prd.stepwise_reconstruct(series, feats,
-                                      _parse_ints(args.m_values),
-                                      _parse_ints(args.tau_values),
+    m_values = list(_parse_ints(args.m_values))
+    tau_values = list(_parse_ints(args.tau_values))
+    report = prd.stepwise_reconstruct(series, feats, m_values, tau_values,
                                       args.lambda_min, channel=args.channel,
                                       radius_frac=args.radius_frac)
-    params = {"input": str(args.input), "dt": args.dt,
-              "time_column": args.time_column,
-              "features": names, "m_values": list(_parse_ints(args.m_values)),
-              "tau_values": list(_parse_ints(args.tau_values)),
-              "lambda_min": args.lambda_min, "radius_frac": args.radius_frac,
-              "channel": args.channel, "seed": args.seed}
+    params = _params(args, dt=series.dt, features=names, m_values=m_values,
+                     tau_values=tau_values)
     payload = {"command": "stepwise", "params": params,
                "config": {"m": report.m, "tau": report.tau,
                           "features": list(report.features)},
@@ -385,12 +345,7 @@ def cmd_symmetry(args) -> dict:
     _, desc_a = ct.normalize(spec_a)
     if args.spectrum_out:
         ct.save_spectrum(_resolve_out(args.spectrum_out), spec_a)
-    params = {"input": str(args.input),
-              "input_b": str(args.input_b) if args.input_b else None,
-              "spectrum_out": (str(args.spectrum_out)
-                               if args.spectrum_out else None),
-              "seed": args.seed}
-    payload = {"command": "symmetry", "params": params,
+    payload = {"command": "symmetry", "params": _params(args),
                "a": _descriptor_dict(desc_a),
                "b": None, "comparison": None}
     if args.input_b:

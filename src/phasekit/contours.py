@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, FormatError
-from .series import read_numeric_table
+from .series import read_numeric_table, write_numeric_table
 
 # Pairs whose magnitude falls below this fraction of the first-harmonic
 # magnitude carry no usable direction; their alignment angle snaps to 0.
@@ -219,26 +218,14 @@ def load_contour(path) -> np.ndarray:
 def save_contour(path, points: np.ndarray) -> None:
     """Write vertices with full-precision reprs for bit-exact round-trips."""
     pts = np.asarray(points, dtype=float)
-    header = ",".join(f"x{j}" for j in range(pts.shape[1]))
-    lines = [header]
-    for row in pts:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_numeric_table(path, [f"x{j}" for j in range(pts.shape[1])], pts)
 
 
 def save_spectrum(path, spectrum: np.ndarray) -> None:
     """Write a spectrum as CSV with interleaved re/im columns per coordinate."""
-    spec = np.asarray(spectrum, dtype=complex)
-    header = []
-    for j in range(spec.shape[1]):
-        header += [f"re{j}", f"im{j}"]
-    lines = [",".join(header)]
-    for row in spec:
-        cells = []
-        for v in row:
-            cells += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    spec = np.ascontiguousarray(spectrum, dtype=complex)
+    names = [f"{part}{j}" for j in range(spec.shape[1]) for part in ("re", "im")]
+    write_numeric_table(path, names, spec.view(float))
 
 
 def load_spectrum(path) -> np.ndarray:

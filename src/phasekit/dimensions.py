@@ -94,39 +94,44 @@ def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCu
     return CorrelationCurve(epsilons, values, m, theiler)
 
 
-def _restrict_range(eps, y, fit_range):
-    mask = np.ones(eps.size, dtype=bool)
+def fit_dimension(epsilons, ordinate, q: float, fit_range: tuple | None = None,
+                  rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
+    """Slope of ordinate vs log2 eps, reported as a dimension of order q.
+
+    Without fit_range the scaling window is chosen automatically; with one,
+    every grid point whose eps lies inside it is fitted directly (at least 3
+    required).  Either way the window is reported in eps units.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    y = np.asarray(ordinate, dtype=float)
+    x = np.log2(eps)
     if fit_range is not None:
         lo, hi = fit_range
-        mask &= (eps >= lo) & (eps <= hi)
-    return mask
+        inside = (eps >= lo) & (eps <= hi)
+        n_inside = int(inside.sum())
+        if n_inside < 3:
+            raise ScalingRegionError(
+                "fewer than 3 usable grid points inside the requested range")
+        slope, _, stderr = fit_slope(x[inside], y[inside])
+        used = eps[inside]
+        return DimensionEstimate(slope, stderr, q, (float(used[0]), float(used[-1])),
+                                 n_inside)
+    fit = fit_scaling_region(x, y, rel_tol=rel_tol, min_points=min_points)
+    i, j = fit.window
+    return DimensionEstimate(fit.slope, fit.stderr, q,
+                             (float(eps[i]), float(eps[j])), j - i + 1)
 
 
 def correlation_dimension(curve: CorrelationCurve, fit_range: tuple | None = None,
                           rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
     """Slope of log2 C(eps) vs log2 eps over the scaling window.
 
-    Only grid points with 0 < C < 1 participate.  Without an explicit
-    fit_range the window is chosen automatically; with one, all usable points
-    inside it are fitted directly (at least 3 required).
+    Only grid points with 0 < C < 1 participate; see fit_dimension for the
+    window rules.
     """
     usable = (curve.values > 0.0) & (curve.values < 1.0)
-    usable &= _restrict_range(curve.epsilons, curve.values, fit_range)
-    eps = curve.epsilons[usable]
-    c = curve.values[usable]
-    x = np.log2(eps)
-    y = np.log2(c)
-    if fit_range is not None:
-        if x.size < 3:
-            raise ScalingRegionError(
-                "fewer than 3 usable grid points inside the requested range")
-        slope, _, stderr = fit_slope(x, y)
-        return DimensionEstimate(slope, stderr, 2.0, (float(eps[0]), float(eps[-1])),
-                                 x.size)
-    fit = fit_scaling_region(x, y, rel_tol=rel_tol, min_points=min_points)
-    i, j = fit.window
-    return DimensionEstimate(fit.slope, fit.stderr, 2.0,
-                             (float(eps[i]), float(eps[j])), j - i + 1)
+    return fit_dimension(curve.epsilons[usable], np.log2(curve.values[usable]),
+                         2.0, fit_range, rel_tol, min_points)
 
 
 def _box_masses(points: np.ndarray, eps: float) -> np.ndarray:
@@ -165,25 +170,11 @@ def generalized_dimension(data, q: float, epsilons=None, fit_range: tuple | None
                           rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
     """Renyi dimension of order q: slope of the box-counting ordinate.
 
-    See generalized_curve for the ordinate convention.
+    See generalized_curve for the ordinate convention and fit_dimension for
+    the window rules.
     """
     epsilons, y = generalized_curve(data, q, epsilons)
-    x = np.log2(epsilons)
-
-    mask = _restrict_range(epsilons, y, fit_range)
-    if fit_range is not None:
-        if mask.sum() < 3:
-            raise ScalingRegionError(
-                "fewer than 3 grid points inside the requested range")
-        slope, _, stderr = fit_slope(x[mask], y[mask])
-        eps_used = epsilons[mask]
-        return DimensionEstimate(slope, stderr, q,
-                                 (float(eps_used[0]), float(eps_used[-1])),
-                                 int(mask.sum()))
-    fit = fit_scaling_region(x, y, rel_tol=rel_tol, min_points=min_points)
-    i, j = fit.window
-    return DimensionEstimate(fit.slope, fit.stderr, q,
-                             (float(epsilons[i]), float(epsilons[j])), j - i + 1)
+    return fit_dimension(epsilons, y, q, fit_range, rel_tol, min_points)
 
 
 def kaplan_yorke(exponents) -> float:

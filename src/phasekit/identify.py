@@ -34,15 +34,10 @@ class BasisTerm:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "poly":
-            if not 0 <= self.degree <= _MAX_POLY_DEGREE:
-                raise ConfigError(f"polynomial degree must be in [0, {_MAX_POLY_DEGREE}]")
-        elif self.kind == "sin":
-            pass
-        elif self.kind == "exp":
-            pass
-        else:
+        if self.kind not in ("poly", "sin", "exp"):
             raise ConfigError(f"unknown basis term kind {self.kind!r}")
+        if self.kind == "poly" and not 0 <= self.degree <= _MAX_POLY_DEGREE:
+            raise ConfigError(f"polynomial degree must be in [0, {_MAX_POLY_DEGREE}]")
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

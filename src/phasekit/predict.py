@@ -168,19 +168,6 @@ def successor_index(emb: DelayEmbedding) -> NeighborIndex:
                          default_theiler=emb.default_theiler())
 
 
-class ErrorHistory:
-    """Per-model-structure log of past forecast errors (most recent last)."""
-
-    def __init__(self):
-        self._log: dict = {}
-
-    def record(self, key: str, error: float) -> None:
-        self._log.setdefault(key, []).append(float(error))
-
-    def series(self, key: str) -> list:
-        return list(self._log.get(key, []))
-
-
 def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,
                         spec, index: NeighborIndex | None = None,
                         model_errors=None, theiler: int | None = None,
@@ -365,15 +352,19 @@ class LocalStability:
     j2: int
 
 
+def _successor_stability(successors: np.ndarray) -> float:
+    """lambda_D = 1 / largest pairwise successor distance, +inf when it is 0."""
+    dmax = float(pdist(successors).max())
+    return math.inf if dmax == 0.0 else 1.0 / dmax
+
+
 def local_stability(emb: DelayEmbedding, rows) -> LocalStability:
     rows = np.asarray(list(rows), dtype=int)
     if rows.size < 2:
         raise InsufficientDataError("a neighborhood needs at least 2 points")
     if np.any(rows + 1 > emb.n_points - 1):
         raise InsufficientDataError("every neighborhood point needs a successor")
-    succ = emb.points[rows + 1]
-    dmax = float(pdist(succ).max())
-    lam = math.inf if dmax == 0.0 else 1.0 / dmax
+    lam = _successor_stability(emb.points[rows + 1])
     return LocalStability(lam, lam, int(rows.size))
 
 
@@ -528,8 +519,7 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
                     gated += 1
                     continue
                 succ = pts[ball + 1]
-                dmax = float(pdist(succ).max())
-                lam_d = math.inf if dmax == 0.0 else 1.0 / dmax
+                lam_d = _successor_stability(succ)
                 j_val = composite_J(lam_d, ball.size, lambda_min)
                 if j_val == 0.0:
                     gated += 1
@@ -540,12 +530,9 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
                     forecast = tuple(float(v * sd + mu)
                                      for v, (mu, sd) in zip(forecast_std, scales))
                     best_key = key
-                    best = StepwiseReport(
-                        m, tau, tuple(feats[fi].name for fi in combo),
-                        lam_d, j_val, int(ball.size), forecast, 0, 0)
+                    best = (m, tau, tuple(feats[fi].name for fi in combo),
+                            lam_d, j_val, int(ball.size), forecast)
     if best is None:
         raise PhasekitError(
             "every configuration failed the stability gate; lower lambda_min")
-    return StepwiseReport(best.m, best.tau, best.features, best.lambda_d,
-                          best.j, best.n_neighbors, best.forecast,
-                          evaluated, gated)
+    return StepwiseReport(*best, evaluated, gated)

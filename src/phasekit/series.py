@@ -111,11 +111,25 @@ def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
             raise FormatError(
                 f"{path}: line {lineno} has {len(cells)} columns, expected {n_cols}")
         for c, cell in enumerate(cells):
-            if not _is_float(cell):
+            try:
+                data[r, c] = float(cell)
+            except ValueError:
                 raise FormatError(
-                    f"{path}: non-numeric cell at line {lineno}, column {c + 1}")
-            data[r, c] = float(cell)
+                    f"{path}: non-numeric cell at line {lineno}, column {c + 1}"
+                ) from None
     return data, names
+
+
+def write_numeric_table(path, names, data) -> None:
+    """Write a header line and one row per line of a 2-D float array.
+
+    Cells are full-precision float reprs, so read_numeric_table restores
+    bit-equal values.
+    """
+    rows = np.asarray(data, dtype=float).tolist()
+    lines = [",".join(names)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # Largest tolerated relative wobble in a time column's spacing.
@@ -153,10 +167,7 @@ def load_csv(path, dt: float | None = None, time_column: bool = False,
 
 def save_csv(series: TimeSeries, path) -> None:
     """Write with full-precision float reprs so load_csv restores bit-equal data."""
-    out = [",".join(series.names)]
-    for row in series.values:
-        out.append(",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    write_numeric_table(path, series.names, series.values)
 
 
 def detrend(series: TimeSeries, order: int = 1) -> TimeSeries:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -267,3 +268,108 @@ def test_json_floats_stay_at_12_significant_digits(workdir, capsys):
     assert len(payload["values"]) == 5
     for value in payload["values"]:
         assert value == float(f"{value:.12g}")
+
+
+def test_q0_dimension_counts_boxes_once(workdir, capsys, monkeypatch):
+    name = make_series(capsys)
+    calls = []
+    original = pk.dimensions.generalized_curve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["q"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pk.dimensions, "generalized_curve", counting)
+    rc, out, _ = run(capsys, "dimension", "--input", name, "--channel", "0",
+                     "--m", "2", "--tau", "1", "--q", "0",
+                     "--fit-lo", "0.02", "--fit-hi", "0.5")
+    assert rc == 0
+    validate("dimension", json.loads(out))
+    assert calls == [0.0]
+
+
+def _subparser_dests():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+_EMBED = ("--channel", "0", "--m", "2", "--tau", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--system", "henon", "--steps", "100", "--out", "s.csv"),
+    ("mi", "--tau-max", "10"),
+    ("embed", *_EMBED),
+    ("dimension", *_EMBED),
+    ("lyapunov", *_EMBED, "--method", "wolf"),
+    ("lyapunov", *_EMBED, "--method", "rosenstein", "--horizon", "12"),
+    ("identify", *_EMBED, "--n", "2"),
+    ("predict", *_EMBED),
+    ("stepwise", "--channel", "0", "--m-values", "1,2", "--tau-values", "1,2",
+     "--lambda-min", "0.5"),
+    ("symmetry",),
+], ids=["simulate", "mi", "embed", "dimension", "lyapunov-wolf",
+        "lyapunov-rosenstein", "identify", "predict", "stepwise", "symmetry"])
+def test_params_echo_every_flag(workdir, capsys, argv):
+    name = make_series(capsys)
+    if argv[0] == "symmetry":
+        Path("a.csv").write_text("0,1\n2,1\n2,3\n0,3\n")
+        argv = (*argv, "--input", "a.csv")
+    elif argv[0] != "simulate":
+        argv = (*argv, "--input", name)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    payload = json.loads(out)
+    validate(argv[0], payload)
+    assert set(payload["params"]) == _subparser_dests()[argv[0]]
+
+
+def test_params_echo_resolved_values(workdir, capsys):
+    name = make_series(capsys)
+    rc, out, _ = run(capsys, "stepwise", "--input", name, "--channel", "0",
+                     "--features", "value", "--m-values", "1,", "--tau-values",
+                     "2,1", "--lambda-min", "0.5")
+    assert rc == 0
+    params = json.loads(out)["params"]
+    assert params["features"] == ["value"]
+    assert params["m_values"] == [1] and params["tau_values"] == [2, 1]
+    assert params["dt"] == 1.0 and params["out"] is None
+    rc, out, _ = run(capsys, "mi", "--input", name, "--out", "mi.json")
+    assert rc == 0 and out == ""
+    params = json.loads(Path("mi.json").read_text())["params"]
+    assert params["out"] == "mi.json"
+    assert params["bins"] >= 2 and params["tau_max"] == 100
+
+
+def _rounded(values):
+    return [float(f"{v:.12g}") for v in values]
+
+
+@pytest.mark.parametrize("q", ["2", "0"])
+def test_dimension_curve_file_matches_payload(workdir, capsys, q):
+    name = make_series(capsys)
+    rc, out, _ = run(capsys, "dimension", "--input", name, "--channel", "0",
+                     "--m", "2", "--tau", "1", "--q", q, "--fit-lo", "0.02",
+                     "--fit-hi", "0.5", "--curve-out", "curve.csv")
+    assert rc == 0
+    curve = json.loads(out)["curve"]
+    data, names = pk.read_numeric_table("curve.csv")
+    assert names == ("log2_eps", "ordinate")
+    assert _rounded(data[:, 0]) == curve["log2_eps"]
+    assert _rounded(data[:, 1]) == curve["ordinate"]
+
+
+def test_rosenstein_curve_file_matches_payload(workdir, capsys):
+    name = make_series(capsys)
+    rc, out, _ = run(capsys, "lyapunov", "--input", name, "--channel", "0",
+                     "--m", "2", "--tau", "1", "--method", "rosenstein",
+                     "--horizon", "12", "--curve-out", "div.csv")
+    assert rc == 0
+    curve = json.loads(out)["curve"]
+    data, names = pk.read_numeric_table("div.csv")
+    assert names == ("offset", "mean_log_distance")
+    assert data[:, 0].tolist() == curve["offsets"]
+    assert _rounded(data[:, 1]) == curve["values"]
+    assert Path("div.csv").read_text().splitlines()[1].startswith("0.0,")

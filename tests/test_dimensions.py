@@ -82,6 +82,28 @@ def test_correlation_dimension_manual_range_too_narrow():
         pk.correlation_dimension(curve, fit_range=(0.5, 0.51))
 
 
+def test_fit_dimension_manual_range_keeps_boundary_points():
+    eps = np.geomspace(0.01, 0.9, 20)
+    est = pk.fit_dimension(eps, 1.5 * np.log2(eps), 0.0,
+                           fit_range=(eps[3], eps[8]))
+    assert est.window == (eps[3], eps[8])
+    assert est.n_fit_points == 6
+    assert est.value == pytest.approx(1.5, abs=1e-12)
+    assert est.q == 0.0
+
+
+def test_correlation_dimension_skips_saturated_points():
+    eps = np.geomspace(0.01, 0.9, 20)
+    values = np.minimum(eps ** 2, 1.0)
+    values[:4] = 0.0
+    values[-2:] = 1.0
+    curve = pk.CorrelationCurve(eps, values, 100, 0)
+    est = pk.correlation_dimension(curve, fit_range=(eps[0], eps[-1]))
+    assert est.window == (eps[4], eps[-3])
+    assert est.n_fit_points == 14
+    assert est.value == pytest.approx(2.0, abs=1e-12)
+
+
 def test_generalized_d1_circle():
     n = 4000
     ang = 2 * np.pi * np.arange(n) / n

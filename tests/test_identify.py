@@ -130,6 +130,15 @@ def test_parse_term_table():
             parse_term(bad)
 
 
+def test_basis_term_validation():
+    for kind in ("poly", "sin", "exp"):
+        assert pk.identify.BasisTerm(kind).kind == kind
+    with pytest.raises(pk.ConfigError, match="unknown basis term kind"):
+        pk.identify.BasisTerm("cos")
+    with pytest.raises(pk.ConfigError, match="polynomial degree"):
+        pk.identify.BasisTerm("poly", degree=9)
+
+
 def test_parse_basis_respects_parentheses():
     basis = pk.parse_basis("t^2, sin(2.0,0.5), 1")
     assert len(basis.terms) == 3

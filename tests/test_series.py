@@ -105,6 +105,22 @@ def test_load_csv_non_numeric_cell(tmp_path):
         pk.load_csv(p)
 
 
+def test_non_numeric_cell_names_line_and_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n\n3,4e\n")
+    with pytest.raises(pk.FormatError, match="line 4, column 2"):
+        pk.read_numeric_table(p)
+
+
+def test_write_numeric_table_writes_float_reprs(tmp_path):
+    p = tmp_path / "t.csv"
+    pk.write_numeric_table(p, ("a", "b"), np.array([[0, 1], [-0.0, 0.1]]))
+    assert p.read_text() == "a,b\n0.0,1.0\n-0.0,0.1\n"
+    data, names = pk.read_numeric_table(p)
+    assert names == ("a", "b")
+    np.testing.assert_array_equal(np.signbit(data), [[False, False], [True, False]])
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("\n\n")
