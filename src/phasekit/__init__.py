@@ -12,7 +12,8 @@ from .dimensions import (CorrelationCurve, DimensionEstimate, correlation_dimens
                          kaplan_yorke)
 from .embedding import (DelayEmbedding, MIProfile, NeighborIndex, default_bins,
                         embed, embedding_to_series, knn_query,
-                        mutual_information_profile, select_delay)
+                        mutual_information_profile, select_delay,
+                        successor_index)
 from .errors import (ColdStartWarning, ConfigError, DegenerateDataError,
                      DivergenceError, FormatError, InsufficientDataError,
                      NoInteriorMinimumWarning, NoStableRegionWarning,
@@ -31,7 +32,7 @@ from .predict import (FeatureTransform, LocalStability,
                       confidence_value, e_psi, fit_predictor, layout_mask,
                       local_predict, local_stability, preprocess_features,
                       select_prediction, step_sign_feature, stepwise_reconstruct,
-                      successor_index, value_feature)
+                      value_feature)
 from .regressors import (LinearRegressor, MeanRegressor, SigmoidNetRegressor,
                          TrainConfig, train_regressor)
 from .series import (StandardizeRecord, TimeSeries, detrend, load_csv,

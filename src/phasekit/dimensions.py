@@ -187,6 +187,8 @@ def kaplan_yorke(exponents) -> float:
     lam = np.asarray(exponents, dtype=float)
     if lam.size == 0:
         raise ValueError("empty exponent list")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("exponents must be finite")
     if np.any(np.diff(lam) > 0):
         raise ValueError("exponents must be sorted in descending order")
     if lam[0] < 0:
@@ -196,7 +198,5 @@ def kaplan_yorke(exponents) -> float:
     k = int(nonneg[-1]) + 1  # count of exponents in the non-negative head
     if k == lam.size:
         return float(lam.size)
-    nxt = lam[k]
-    if nxt == 0.0:
-        raise ZeroDivisionError("lambda_{k+1} is zero; dimension ratio undefined")
-    return k + float(sums[k - 1]) / abs(nxt)
+    # lam[k] < 0 here: lam[k] == 0 would keep S_{k+1} = S_k non-negative.
+    return k + float(sums[k - 1]) / abs(lam[k])

@@ -153,6 +153,16 @@ class NeighborIndex:
     Neighbor order is (distance, row index) ascending, with distances
     recomputed in numpy, so results coincide exactly with a brute-force scan.
 
+    knn_many answers many rows with one k-d tree call and returns exactly what
+    query returns for each row, ties included.  A row's pool is its
+    k + 2*theiler + 2 nearest rows in tree order.  The first k admissible
+    candidates are re-sorted by (numpy distance, row index) and kept when the
+    pool also holds a (k+1)-th admissible candidate farther than the k-th by
+    more than the tree slack, or when the pool covers every row and holds
+    exactly k admissible ones.  Any other row (a tie at the cut, a pool short
+    of admissible rows, fewer than k admissible rows in all) goes through the
+    per-row query_point, which regrows its own pool.
+
     default_theiler is the exclusion window used by queries that pass no
     theiler of their own.  An explicit value always wins; None means the
     embedding's own window (DelayEmbedding.default_theiler()), or 0 for a raw
@@ -214,6 +224,45 @@ class NeighborIndex:
         """k nearest admissible rows; returns (indices, distances)."""
         return self.query_point(self.points[row], self.times[row], k, theiler)
 
+    def knn_many(self, rows, k: int, theiler: int | None = None):
+        """query(row, k, theiler) for every row at once.
+
+        Returns (indices, distances), each of shape (len(rows), k).  Raises
+        InsufficientDataError as query does when a row has fewer than k
+        admissible neighbors.
+        """
+        if theiler is None:
+            theiler = self.default_theiler
+        rows = np.asarray(rows, dtype=int)
+        n_rows = rows.size
+        pool = min(self.n, k + 2 * max(theiler, 0) + 2)
+        tree_d, idx = self.tree.query(self.points[rows], k=pool)
+        tree_d = tree_d.reshape(n_rows, pool)
+        idx = idx.reshape(n_rows, pool)
+        adm = np.abs(self.times[idx] - self.times[rows][:, None]) > theiler
+        count = adm.sum(axis=1)
+        # Pool columns of the first k+1 admissible candidates, in tree order.
+        cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
+        if pool > k:
+            d_cut = np.take_along_axis(tree_d, cols[:, k - 1:k + 1], axis=1)
+            gap = (count > k) & (d_cut[:, 1] > d_cut[:, 0] * (1.0 + _TREE_SLACK))
+        else:
+            gap = np.zeros(n_rows, dtype=bool)
+        ok = gap | ((pool == self.n) & (count == k))
+
+        out_idx = np.empty((n_rows, k), dtype=int)
+        out_d = np.empty((n_rows, k))
+        if ok.any():
+            cand = np.take_along_axis(idx[ok], cols[ok, :k], axis=1)
+            diff = self.points[cand] - self.points[rows[ok]][:, None, :]
+            d = np.sqrt(np.sum(diff ** 2, axis=2))
+            order = np.lexsort((cand, d))
+            out_idx[ok] = np.take_along_axis(cand, order, axis=1)
+            out_d[ok] = np.take_along_axis(d, order, axis=1)
+        for i in np.nonzero(~ok)[0]:
+            out_idx[i], out_d[i] = self.query(int(rows[i]), k, theiler)
+        return out_idx, out_d
+
     def query_some(self, row: int, k: int, theiler: int | None = None):
         """Like query(), but returns however many admissible rows exist (<= k)."""
         if theiler is None:
@@ -245,6 +294,15 @@ class NeighborIndex:
     def radius(self, row: int, eps: float, theiler: int | None = None):
         """All admissible rows within distance eps (inclusive), ordered."""
         return self.radius_point(self.points[row], self.times[row], eps, theiler)
+
+
+def successor_index(emb: DelayEmbedding, reserve: int = 1) -> NeighborIndex:
+    """Index over the rows that still have `reserve` future rows available."""
+    n = emb.n_points - reserve
+    if n < 2:
+        raise InsufficientDataError("not enough rows with the requested future span")
+    return NeighborIndex(emb.points[:n], emb.times[:n],
+                         default_theiler=emb.default_theiler())
 
 
 def knn_query(emb: DelayEmbedding, row: int, k: int, theiler: int | None = None):

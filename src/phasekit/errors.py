@@ -17,8 +17,10 @@ class DegenerateDataError(PhasekitError):
     """Input is constant, rank-deficient, or otherwise carries no usable structure."""
 
 
-class ScalingRegionError(PhasekitError):
-    """No scaling window satisfied the linearity rule; pass an explicit fit range."""
+class ScalingRegionError(PhasekitError, ValueError):
+    """No scaling window satisfied the linearity rule, or an explicit fit range
+    keeps too few points.  Also a ValueError, since a bad range is a bad value;
+    the CLI still reports it as a failed computation (exit 1)."""
 
 
 class DivergenceError(PhasekitError):

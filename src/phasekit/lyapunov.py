@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dimensions import data_diameter
-from .embedding import DelayEmbedding, NeighborIndex
+from .embedding import DelayEmbedding, successor_index
 from .errors import (ConfigError, DegenerateDataError, DivergenceError,
-                     InsufficientDataError)
+                     InsufficientDataError, ScalingRegionError)
 from .fitting import fit_scaling_region, fit_slope
 from .systems import DEFAULT_TRANSIENT, ReferenceSystem, rk4_step
 
@@ -72,15 +71,6 @@ class SpectrumReport:
     entropy_rate: float             # sum of positive exponents
 
 
-def _future_index(emb: DelayEmbedding, reserve: int) -> NeighborIndex:
-    """Index over the rows that still have `reserve` future rows available."""
-    n = emb.n_points - reserve
-    if n < 2:
-        raise InsufficientDataError("not enough rows with the requested future span")
-    return NeighborIndex(emb.points[:n], emb.times[:n],
-                         default_theiler=emb.default_theiler())
-
-
 def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
                  min_len: float = 0.0, max_len: float | None = None,
                  angle_tol: float = 0.9, theiler: int | None = None) -> WolfResult:
@@ -91,6 +81,10 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     whose direction cosine with the evolved separation is at least angle_tol
     and whose distance lies in [min_len, max_len]; when nothing qualifies the
     constraint relaxes to the plain nearest admissible point.
+
+    The replacement rows are fixed in advance (0, e, 2e, ...), so their
+    nearest 50 candidates come from one batched query; a row pays for a
+    per-row query with a growing pool only when none of its 50 qualifies.
     """
     pts = emb.points
     k_rows = emb.n_points
@@ -100,7 +94,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         max_len = 0.1 * data_diameter(pts)
     if evolve_steps < 1:
         raise ValueError("evolve_steps must be >= 1")
-    index = _future_index(emb, evolve_steps)
+    index = successor_index(emb, evolve_steps)
 
     def pick(row: int, direction: np.ndarray | None):
         pool = 50
@@ -124,8 +118,28 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
                 return fallback
             pool *= 2
 
+    rows = np.arange(0, index.n, evolve_steps)
+    try:
+        pools, pool_d = index.knn_many(rows, min(50, index.n - 1), theiler)
+    except InsufficientDataError:
+        pools = None  # some row lacks 50 admissible rows: every pick is per-row
+    else:
+        length_ok = (pool_d > 0.0) & (pool_d >= min_len) & (pool_d <= max_len)
+
+    def replace(row: int, direction: np.ndarray | None):
+        if pools is None:
+            return pick(row, direction)
+        j = row // evolve_steps
+        ok = length_ok[j]
+        if direction is not None:
+            v = pts[pools[j]] - pts[row]
+            ok = ok & (v @ direction / (np.linalg.norm(direction) * pool_d[j])
+                       >= angle_tol)
+        hit = np.flatnonzero(ok)
+        return int(pools[j, hit[0]]) if hit.size else pick(row, direction)
+
     c = 0
-    n = pick(c, None)
+    n = replace(c, None)
     if n is None:
         raise InsufficientDataError("no admissible starting neighbor")
     log_sum = 0.0
@@ -143,7 +157,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         c = c2
         if c + evolve_steps > k_rows - 1 or c >= index.n:
             break
-        n = pick(c, pts[n2] - pts[c])
+        n = replace(c, pts[n2] - pts[c])
         if n is None:
             break
     if segments < 10:
@@ -154,35 +168,29 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
 
 def rosenstein_curve(emb: DelayEmbedding, horizon: int,
                      theiler: int | None = None) -> DivergenceCurve:
-    """Mean ln distance between each point and its nearest neighbor, per offset."""
+    """Mean ln distance between each point and its nearest neighbor, per offset.
+
+    Both come from the rows with horizon future rows; the nearest neighbor is
+    the admissible row of least (distance, row index).  Rows with no
+    admissible row, or whose nearest neighbor coincides with them, are skipped.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pts = emb.points
     if theiler is None:
         theiler = emb.default_theiler()
-    n_eligible = emb.n_points - horizon
-    if n_eligible < 2:
+    if emb.n_points - horizon < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
-    sub = pts[:n_eligible]
-    times = emb.times[:n_eligible]
-    tree = cKDTree(sub)
-    pool = min(n_eligible, 4 * theiler + 8)
-    _, nn_idx = tree.query(sub, k=pool)
-    nn_idx = np.atleast_2d(nn_idx)
-
-    refs = np.arange(n_eligible)
-    admissible = np.abs(times[nn_idx] - times[refs][:, None]) > theiler
-    has_nn = admissible.any(axis=1)
-    if not has_nn.any():
+    index = successor_index(emb, horizon)
+    # A row has an admissible neighbor iff some row lies outside its window.
+    times = index.times
+    refs = np.flatnonzero((times.max() - times > theiler)
+                          | (times - times.min() > theiler))
+    if refs.size == 0:
         raise InsufficientDataError("no admissible nearest neighbors; lower theiler")
-    first = np.argmax(admissible, axis=1)
-    nns = nn_idx[refs, first]
-    refs = refs[has_nn]
-    nns = nns[has_nn]
-
-    d0 = np.sqrt(np.sum((pts[refs] - pts[nns]) ** 2, axis=1))
-    keep = d0 > 0.0
-    refs, nns = refs[keep], nns[keep]
+    nns, d0 = index.knn_many(refs, 1, theiler)
+    keep = d0[:, 0] > 0.0
+    refs, nns = refs[keep], nns[keep, 0]
     if refs.size == 0:
         raise DegenerateDataError("all nearest-neighbor distances are zero")
 
@@ -212,7 +220,7 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     n_eligible = emb.n_points - horizon
     if n_eligible < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
-    index = _future_index(emb, horizon)
+    index = successor_index(emb, horizon)
     if theiler is None:
         theiler = emb.default_theiler()
 
@@ -248,7 +256,7 @@ def divergence_rate(curve: DivergenceCurve, fit_range: tuple | None = None,
         lo, hi = fit_range
         mask = (x >= lo) & (x <= hi)
         if mask.sum() < 2:
-            raise ValueError("fit range keeps fewer than 2 offsets")
+            raise ScalingRegionError("fit range keeps fewer than 2 offsets")
         slope, _, stderr = fit_slope(x[mask], y[mask])
         xs = x[mask]
         return RateEstimate(slope, stderr, (float(xs[0]), float(xs[-1])))
@@ -338,7 +346,9 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
 
     At each row the k nearest admissible neighbors (all having successors)
     give a least-squares map from displacements to their one-step images.
-    k defaults to 2*width+1.
+    k defaults to 2*width+1.  The neighborhoods come from one batched query
+    and every map from one stacked SVD, with lstsq's rank rule (singular
+    values at most eps*max(k, width) times the largest count as zero).
     """
     pts = emb.points
     width = emb.width
@@ -355,22 +365,29 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
         raise ValueError("k_neighbors must be at least the embedding width")
     if renorm_interval < 1:
         raise ValueError("renorm_interval must be positive")
-    index = _future_index(emb, 1)
+    index = successor_index(emb, 1)
     if theiler is None:
         theiler = emb.default_theiler()
+
+    rows = np.arange(steps)
+    nbrs, _ = index.knn_many(rows, k_neighbors, theiler)
+    x = pts[nbrs] - pts[rows][:, None, :]            # (steps, k, width)
+    y = pts[nbrs + 1] - pts[rows + 1][:, None, :]
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(k_neighbors, width) * s[:, :1]
+    rank = np.sum(s > cutoff, axis=1)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    # Transposed least-squares solutions: jac[t] @ x[t, i] ~ y[t, i].
+    jac = np.swapaxes(y, 1, 2) @ u @ (inv_s[:, :, None] * vt)
 
     w = np.eye(width)[:, :n_exp]
     sigma = np.zeros(n_exp)
     pending = 0
     for t in range(steps):
-        nbrs, _ = index.query(t, k_neighbors, theiler)
-        x = pts[nbrs] - pts[t]
-        y = pts[nbrs + 1] - pts[t + 1]
-        sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-        if rank < width:
+        if rank[t] < width:
             raise DegenerateDataError(
                 f"singular neighborhood regression at row {t}; increase k_neighbors")
-        w = sol.T @ w
+        w = jac[t] @ w
         if not np.all(np.isfinite(w)):
             raise DivergenceError(f"tangent propagation diverged at row {t}")
         pending += 1

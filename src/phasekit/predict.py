@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .embedding import DelayEmbedding, NeighborIndex
+from .embedding import DelayEmbedding, NeighborIndex, successor_index
 from .errors import (ColdStartWarning, ConfigError, DegenerateDataError,
                      InsufficientDataError, PhasekitError)
 from .regressors import TrainConfig, train_regressor
@@ -160,12 +160,6 @@ def build_tableau(emb: DelayEmbedding, row: int, r: int, k: int,
             grid[i, j] = emb.points[src + offsets[j]]
     return NeighborhoodTableau(grid, mask, name, r, k, row,
                                neighbor_rows, distances)
-
-
-def successor_index(emb: DelayEmbedding) -> NeighborIndex:
-    """Neighbor index restricted to rows that have a one-step successor."""
-    return NeighborIndex(emb.points[:-1], emb.times[:-1],
-                         default_theiler=emb.default_theiler())
 
 
 def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,

@@ -69,6 +69,15 @@ def test_bad_value_is_usage_error(workdir, capsys):
     assert err.strip() != ""
 
 
+def test_lyapunov_fit_range_outside_curve_exits_1(workdir, capsys):
+    name = make_series(capsys, 1500)
+    rc, _, err = run(capsys, "lyapunov", "--input", name, "--channel", "0",
+                     "--m", "2", "--tau", "1", "--method", "rosenstein",
+                     "--horizon", "12", "--fit-lo", "50", "--fit-hi", "60")
+    assert rc == 1
+    assert err.startswith("error: ") and "fewer than 2 offsets" in err
+
+
 def test_computation_error_exits_1(workdir, capsys):
     name = make_series(capsys, 600)
     rc, _, err = run(capsys, "dimension", "--input", name, "--channel", "0",

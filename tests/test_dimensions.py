@@ -154,6 +154,13 @@ def test_kaplan_yorke_zero_tail_saturates():
     assert pk.kaplan_yorke([0.0, -0.0]) == 2.0
 
 
+def test_kaplan_yorke_rejects_non_finite():
+    for lam in ([float("nan")], [1.0, float("nan")], [float("inf"), -1.0],
+                [0.5, -float("inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            pk.kaplan_yorke(lam)
+
+
 def test_kaplan_yorke_requires_descending():
     with pytest.raises(ValueError):
         pk.kaplan_yorke([0.1, 0.5])

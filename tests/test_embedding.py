@@ -149,6 +149,67 @@ def test_knn_matches_brute_force(seed, k, theiler):
     np.testing.assert_array_equal(idx, adm[order][:k])
     np.testing.assert_allclose(dist, d[order][:k])
     assert np.all(np.diff(dist) >= 0)
+    # The batched query over every row follows the same brute-force order.
+    many_idx, many_d = pk.NeighborIndex(emb).knn_many(np.arange(n), k, theiler)
+    for r in range(n):
+        want_idx, want_d = _brute_knn(pts, np.arange(n), r, k, theiler)
+        np.testing.assert_array_equal(many_idx[r], want_idx)
+        np.testing.assert_array_equal(many_d[r], want_d)
+
+
+def _brute_knn(pts, times, row, k, theiler):
+    """(distance, row index) order over every admissible row, first k."""
+    adm = np.flatnonzero(np.abs(times - times[row]) > theiler)
+    d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
+    order = np.lexsort((adm, d))
+    return adm[order][:k], d[order][:k]
+
+
+@pytest.mark.parametrize("k", [1, 4, 5, 8])
+def test_knn_many_exact_ties_on_a_lattice(k):
+    # Every row of an integer lattice has several rows at its k-th distance.
+    grid = np.array([(i, j) for i in range(11) for j in range(11)], dtype=float)
+    pts = grid[np.random.default_rng(7).permutation(len(grid))]
+    index = pk.NeighborIndex(pts, default_theiler=0)
+    idx, dist = index.knn_many(np.arange(len(pts)), k)
+    for r in range(len(pts)):
+        want_idx, want_d = _brute_knn(pts, np.arange(len(pts)), r, k, 0)
+        np.testing.assert_array_equal(idx[r], want_idx)
+        np.testing.assert_array_equal(dist[r], want_d)
+        q_idx, q_d = index.query(r, k)
+        np.testing.assert_array_equal(idx[r], q_idx)
+        np.testing.assert_array_equal(dist[r], q_d)
+
+
+def test_knn_many_rows_short_of_admissible_neighbors():
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(80, 2))
+    # Two rows per time stamp: a Theiler window holds twice the rows the
+    # batched pool allows for, so those rows regrow through the per-row path.
+    times = np.repeat(np.arange(40), 2)
+    index = pk.NeighborIndex(pts, times, default_theiler=3)
+    idx, dist = index.knn_many(np.arange(80), 5)
+    for r in range(80):
+        want_idx, want_d = _brute_knn(pts, times, r, 5, 3)
+        np.testing.assert_array_equal(idx[r], want_idx)
+        np.testing.assert_array_equal(dist[r], want_d)
+    # Rows with fewer than k admissible rows in all fail as query() does.
+    line = pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=3)
+    with pytest.raises(pk.InsufficientDataError):
+        line.query(5, 4)
+    with pytest.raises(pk.InsufficientDataError):
+        line.knn_many(np.arange(10), 4)
+    idx, _ = line.knn_many([0, 9], 4)
+    np.testing.assert_array_equal(idx, [[4, 5, 6, 7], [5, 4, 3, 2]])
+
+
+def test_successor_index_reserves_future_rows():
+    emb = _line_embedding(np.arange(10.0))
+    index = pk.successor_index(emb, 3)
+    assert index.n == 7
+    assert index.default_theiler == emb.default_theiler()
+    with pytest.raises(pk.InsufficientDataError):
+        pk.successor_index(emb, 9)
 
 
 def test_radius_query_inclusive_and_ordered():

@@ -117,6 +117,41 @@ def test_benettin_data_rejects_bad_args(henon_emb):
         pk.benettin_data(henon_emb, steps=0)
 
 
+def test_benettin_data_names_first_singular_row():
+    # Rows 120.. lie on a horizontal line far from the cloud of rows 0..119,
+    # so their neighborhoods span one direction only.
+    rng = np.random.default_rng(3)
+    cloud = rng.uniform(0.0, 1.0, size=(120, 2))
+    line = np.column_stack([np.linspace(10.0, 20.0, 80), np.full(80, 10.0)])
+    emb = pk.DelayEmbedding(np.vstack([cloud, line]), np.arange(200), 1, 1, 1.0)
+    with pytest.raises(pk.DegenerateDataError, match="at row 120;"):
+        pk.benettin_data(emb)
+
+
+def test_rosenstein_breaks_ties_by_lower_row():
+    # An integer-valued series: most rows have several nearest neighbors at
+    # the same distance, and the lowest admissible row must win.
+    values = np.random.default_rng(5).integers(0, 10, size=300).astype(float)
+    emb = pk.embed(pk.TimeSeries(values), 3, 1)
+    horizon, theiler = 4, 2
+    curve = pk.rosenstein_curve(emb, horizon, theiler=theiler)
+    pts = emb.points
+    n = emb.n_points - horizon
+    refs, nns = [], []
+    for r in range(n):
+        adm = np.array([j for j in range(n) if abs(j - r) > theiler])
+        d = np.sqrt(np.sum((pts[adm] - pts[r]) ** 2, axis=1))
+        j = adm[np.lexsort((adm, d))[0]]
+        if d.min() > 0.0:
+            refs.append(r)
+            nns.append(j)
+    refs, nns = np.array(refs), np.array(nns)
+    assert curve.n_refs == refs.size
+    for i in range(horizon + 1):
+        d = np.sqrt(np.sum((pts[refs + i] - pts[nns + i]) ** 2, axis=1))
+        assert curve.values[i] == np.mean(np.log(d[d > 0.0]))
+
+
 def test_divergence_rate_manual_window_exact():
     offsets = np.arange(21)
     curve = pk.DivergenceCurve(offsets, 0.05 * offsets - 1.0, 10, 1.0,
@@ -126,6 +161,13 @@ def test_divergence_rate_manual_window_exact():
     assert rate.window == (2.0, 9.0)
     with pytest.raises(ValueError):
         pk.divergence_rate(curve, fit_range=(3.2, 3.4))
+
+
+def test_divergence_rate_range_outside_curve_is_scaling_region_error():
+    offsets = np.arange(13)
+    curve = pk.DivergenceCurve(offsets, 0.4 * offsets, 10, 1.0, "rosenstein", None)
+    with pytest.raises(pk.ScalingRegionError, match="fewer than 2 offsets"):
+        pk.divergence_rate(curve, fit_range=(50, 60))
 
 
 def test_divergence_rate_auto_stops_at_plateau():
