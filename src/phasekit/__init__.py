@@ -11,7 +11,7 @@ from .dimensions import (CorrelationCurve, DimensionEstimate, correlation_dimens
                          fit_dimension, generalized_curve, generalized_dimension,
                          kaplan_yorke)
 from .embedding import (DelayEmbedding, MIProfile, NeighborIndex, default_bins,
-                        embed, embedding_to_series, knn_query,
+                        embed, embedding_to_series,
                         mutual_information_profile, select_delay,
                         successor_index)
 from .errors import (ColdStartWarning, ConfigError, DegenerateDataError,
@@ -63,7 +63,7 @@ __all__ = [
     "e_psi", "embed", "embedding_to_series", "estimate_x0", "fit_dimension",
     "fit_model", "fit_percent", "fit_predictor", "fit_scaling_region",
     "fit_slope", "generalized_curve", "generalized_dimension", "idft",
-    "integrate", "iterate", "kantz_curve", "kaplan_yorke", "knn_query", "layout_mask", "load_contour", "load_csv",
+    "integrate", "iterate", "kantz_curve", "kaplan_yorke", "layout_mask", "load_contour", "load_csv",
     "load_spectrum", "local_predict", "local_stability", "moving_average",
     "mutual_information_profile", "normalize", "parse_basis", "parse_term",
     "plane_rotation", "preprocess_features", "read_numeric_table",

@@ -261,7 +261,7 @@ def cmd_identify(args) -> dict:
     series, emb = _load_embedding(args)
     states, record = idn.build_state_sequence(emb, args.n)
     outputs = series.values[emb.times]
-    basis = idn.parse_basis(args.basis) if args.basis else idn.TimeBasis(())
+    basis = idn.parse_basis(args.basis)
     t0 = float(emb.times[0]) * series.dt
     model = idn.fit_model(states, outputs, basis=basis, mode=args.mode,
                           dt=series.dt, t0=t0,

@@ -303,8 +303,3 @@ def successor_index(emb: DelayEmbedding, reserve: int = 1) -> NeighborIndex:
         raise InsufficientDataError("not enough rows with the requested future span")
     return NeighborIndex(emb.points[:n], emb.times[:n],
                          default_theiler=emb.default_theiler())
-
-
-def knn_query(emb: DelayEmbedding, row: int, k: int, theiler: int | None = None):
-    """One-shot nearest-neighbor query on an embedding (builds a fresh index)."""
-    return NeighborIndex(emb).query(row, k, theiler=theiler)

@@ -9,8 +9,10 @@ class FormatError(PhasekitError):
     """Malformed input file (bad row, inconsistent column count, non-numeric cell)."""
 
 
-class InsufficientDataError(PhasekitError):
-    """The series or embedding is too short for the requested operation."""
+class InsufficientDataError(PhasekitError, ValueError):
+    """The series or embedding is too short for the requested operation.
+    Also a ValueError, since too few rows is a bad value; the CLI still
+    reports it as a failed computation (exit 1)."""
 
 
 class DegenerateDataError(PhasekitError):

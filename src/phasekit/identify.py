@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import DelayEmbedding
-from .errors import ConfigError, DegenerateDataError, DivergenceError
-from .systems import rk4_step
+from .errors import (ConfigError, DegenerateDataError, DivergenceError,
+                     InsufficientDataError)
 
 _STATE_NORM_LIMIT = 1e12
 _MAX_POLY_DEGREE = 8
@@ -58,12 +58,9 @@ class BasisTerm:
 
 @dataclass(frozen=True)
 class TimeBasis:
-    """Ordered collection of basis terms with a tiny last-grid cache."""
+    """Ordered collection of basis terms; holds only the terms."""
 
     terms: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", None)
 
     @property
     def size(self) -> int:
@@ -72,16 +69,12 @@ class TimeBasis:
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """(len(t), size) design block; must stay finite on the grid."""
         t = np.asarray(t, dtype=float)
-        cache = getattr(self, "_cache", None)
-        if cache is not None and cache[0].shape == t.shape and np.array_equal(cache[0], t):
-            return cache[1]
         if self.size == 0:
             out = np.empty((t.size, 0))
         else:
             out = np.column_stack([term.evaluate(t) for term in self.terms])
         if not np.all(np.isfinite(out)):
             raise ConfigError("basis values overflow on the evaluation interval")
-        object.__setattr__(self, "_cache", (t.copy(), out))
         return out
 
     def labels(self) -> tuple:
@@ -305,7 +298,7 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 
 def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
               mode: str = "discrete", dt: float = 1.0, t0: float = 0.0,
-              evaluate: bool = True, smooth_window: int = 0) -> ReducedModel:
+              smooth_window: int = 0) -> ReducedModel:
     """Least-squares identification of the state and observation equations.
 
     states: (K, n) sequence on a uniform grid t0 + k*dt.  outputs: (K,) or
@@ -316,8 +309,11 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
     regressor block raises, naming the cure (fewer basis terms or lower n).
     """
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[0] < 3:
-        raise ValueError("states must be (K, n) with K >= 3")
+    if states.ndim != 2:
+        raise ValueError("states must be a (K, n) array")
+    if states.shape[0] < 3:
+        raise InsufficientDataError(
+            f"identification needs at least 3 states, got {states.shape[0]}")
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
         outputs = outputs[:, None]
@@ -362,8 +358,6 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
 
     model = ReducedModel(mode, dynamics, psi, c_mat, offset, basis, dt, t0,
                          fit=None, residual_rms=rms)
-    if not evaluate:
-        return model
     try:
         x0 = estimate_x0(model, outputs)
     except (DivergenceError, np.linalg.LinAlgError):
@@ -377,53 +371,59 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
                         fit=fp, residual_rms=rms)
 
 
+def _matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mat @ v for one vector v or for each row v of a stack.
+
+    Each row rounds exactly as mat @ v alone would; the matrix product
+    vecs @ mat.T takes a different kernel whose rounding can differ.
+    """
+    return (mat @ vecs[..., None])[..., 0]
+
+
 def _state_run(model: ReducedModel, x0, steps: int, t0: float,
                forced: bool = True) -> np.ndarray:
-    """Propagate the model state; forced=False drops the basis input."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Propagate one state (n,) or a stack (c, n) of states side by side.
+
+    Returns (steps, n) or (steps, c, n), row 0 being x0.  The input P phi(t)
+    is evaluated once on the step grid (and on the RK4 half and end points in
+    continuous mode); forced=False drops it.  DivergenceError is raised when
+    any single run turns non-finite or its state norm passes 1e12.
+    """
+    x = np.asarray(x0, dtype=float)
     dt = model.dt
-    basis = model.basis
-    out = np.empty((steps, model.n_states))
-
-    if model.mode == "discrete":
-        for i in range(steps):
-            out[i] = x
-            if i == steps - 1:
-                break
-            x = model.dynamics @ x
-            if forced:
-                phi = basis.evaluate(np.array([t0 + i * dt]))[0]
-                x = x + model.psi_coeffs @ phi
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _STATE_NORM_LIMIT:
-                raise DivergenceError(f"model state diverged at step {i + 1}")
-        return out
-
+    a = model.dynamics
+    t = t0 + dt * np.arange(steps - 1)
+    grids = (t,) if model.mode == "discrete" else (t, t + 0.5 * dt, t + dt)
     if forced:
-        def rhs(state, t):
-            phi = basis.evaluate(np.array([t]))[0]
-            return model.dynamics @ state + model.psi_coeffs @ phi
+        u = [_matvec(model.psi_coeffs, model.basis.evaluate(g)) for g in grids]
     else:
-        def rhs(state, t):
-            return model.dynamics @ state
-
-    for i in range(steps):
-        out[i] = x
-        if i == steps - 1:
-            break
-        x = rk4_step(rhs, x, t0 + i * dt, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _STATE_NORM_LIMIT:
+        u = [np.zeros((steps - 1, model.n_states))] * len(grids)
+    out = np.empty((steps,) + x.shape)
+    out[0] = x
+    for i in range(steps - 1):
+        if model.mode == "discrete":
+            x = _matvec(a, x) + u[0][i]
+        else:
+            k1 = _matvec(a, x) + u[0][i]
+            k2 = _matvec(a, x + 0.5 * dt * k1) + u[1][i]
+            k3 = _matvec(a, x + 0.5 * dt * k2) + u[1][i]
+            k4 = _matvec(a, x + dt * k3) + u[2][i]
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)) or np.any(
+                np.linalg.norm(x, axis=-1) > _STATE_NORM_LIMIT):
             raise DivergenceError(f"model state diverged at step {i + 1}")
+        out[i + 1] = x
     return out
 
 
 def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.ndarray:
     """Least-squares initial state for the free run against observed outputs.
 
-    The model output is affine in the initial state, so the best x0 follows
-    from superposing one forced run started at zero with the n unforced runs
-    started at the basis vectors.  This mirrors the initial-condition
-    estimation convention of standard identification toolboxes; it keeps the
-    evaluation from penalising directions the data never excited.
+    The model output is affine in the initial state (superposition), so the
+    best x0 follows from one forced run started at zero plus one unforced run
+    of the n x n identity block, whose rows are the free responses to the
+    unit initial states (Ljung, System Identification, 2nd ed., 1999).  This
+    keeps the evaluation from penalising directions the data never excited.
     """
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
@@ -434,12 +434,10 @@ def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.nda
     t0 = model.t0 if t0 is None else t0
     n = model.n_states
     forced = _state_run(model, np.zeros(n), k, t0, forced=True)
+    free = _state_run(model, np.eye(n), k, t0, forced=False)
     y_forced = forced @ model.C.T + model.output_offset
-    cols = []
-    for i in range(n):
-        free = _state_run(model, np.eye(n)[i], k, t0, forced=False)
-        cols.append((free @ model.C.T).ravel())
-    design = np.column_stack(cols)
+    # row (step, channel), column i: channel output of the run from e_i
+    design = (free @ model.C.T).transpose(0, 2, 1).reshape(-1, n)
     target = (outputs - y_forced).ravel()
     sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     return sol
@@ -449,7 +447,8 @@ def simulate(model: ReducedModel, x0, steps: int, t0: float | None = None) -> np
     """Free-run the model; returns (steps, channels) outputs starting at x0.
 
     The first output row corresponds to x0 itself.  Raises DivergenceError
-    naming the step when the state norm passes 1e12.
+    naming the step when the state norm passes 1e12, and ConfigError before
+    stepping when the basis overflows within the horizon.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -170,6 +170,16 @@ def test_identify_payload_and_model(workdir, capsys):
     assert model["mode"] == "discrete"
 
 
+def test_identify_too_few_rows_exits_1(workdir, capsys):
+    Path("short.csv").write_text("x\n0.1\n0.5\n-0.3\n0.9\n")
+    # m = 2, tau = 2 leaves 2 embedding rows: every flag is valid, the data
+    # is too short to fit a model
+    rc, out, err = run(capsys, "identify", "--input", "short.csv",
+                       "--m", "2", "--tau", "2", "--n", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "at least 3 states" in err
+
+
 def test_predict_payload(workdir, capsys):
     name = make_series(capsys)
     rc, out, _ = run(capsys, "predict", "--input", name, "--channel", "0",

@@ -107,22 +107,22 @@ def _line_embedding(values):
 
 def test_knn_line_basic():
     emb = _line_embedding([0.0, 1.0, 3.0])
-    idx, dist = pk.knn_query(emb, 0, 1, theiler=0)
+    idx, dist = pk.NeighborIndex(emb).query(0, 1, theiler=0)
     assert idx[0] == 1 and dist[0] == pytest.approx(1.0)
-    idx, dist = pk.knn_query(emb, 1, 2, theiler=0)
+    idx, dist = pk.NeighborIndex(emb).query(1, 2, theiler=0)
     np.testing.assert_array_equal(idx, [0, 2])
     np.testing.assert_allclose(dist, [1.0, 2.0])
 
 
 def test_knn_theiler_excludes_temporal_neighbors():
     emb = _line_embedding([0.0, 0.1, 0.2, 5.0])
-    idx, _ = pk.knn_query(emb, 1, 1, theiler=1)
+    idx, _ = pk.NeighborIndex(emb).query(1, 1, theiler=1)
     assert idx[0] == 3  # rows 0 and 2 are inside the temporal window
 
 
 def test_knn_tie_breaks_by_lower_row():
     emb = _line_embedding([0.0, 1.0, -1.0, 1.0])
-    idx, dist = pk.knn_query(emb, 0, 2, theiler=0)
+    idx, dist = pk.NeighborIndex(emb).query(0, 2, theiler=0)
     assert dist[0] == dist[1] == pytest.approx(1.0)
     np.testing.assert_array_equal(idx, [1, 2])
 
@@ -130,7 +130,7 @@ def test_knn_tie_breaks_by_lower_row():
 def test_knn_insufficient_neighbors():
     emb = _line_embedding([0.0, 1.0, 2.0])
     with pytest.raises(pk.InsufficientDataError):
-        pk.knn_query(emb, 1, 4, theiler=0)
+        pk.NeighborIndex(emb).query(1, 4, theiler=0)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(0, 3))
@@ -143,7 +143,7 @@ def test_knn_matches_brute_force(seed, k, theiler):
     adm = np.array([i for i in range(n) if abs(i - row) > theiler])
     if adm.size < k:
         return
-    idx, dist = pk.knn_query(emb, row, k, theiler=theiler)
+    idx, dist = pk.NeighborIndex(emb).query(row, k, theiler=theiler)
     d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
     order = np.lexsort((adm, d))
     np.testing.assert_array_equal(idx, adm[order][:k])

@@ -201,6 +201,86 @@ def test_estimate_x0_recovers_truth():
         pk.estimate_x0(model, y[:1])
 
 
+def _three_state_model(mode, basis, dt):
+    rot = damped_rotation(0.5, 0.9)
+    dyn = np.zeros((3, 3))
+    dyn[:2, :2] = rot
+    dyn[2, 2] = 0.8
+    if mode == "continuous":
+        dyn = (dyn - np.eye(3)) / dt   # slow decay, so the flow stays bounded
+    psi = np.array([[0.2, -0.1, 0.01], [0.1, 0.05, -0.02],
+                    [-0.3, 0.2, 0.005]])[:, :basis.size]
+    C = np.array([[1.0, 1.0, 0.5], [0.0, -2.0, 1.0]])
+    return pk.ReducedModel(mode, dyn, psi, C, np.array([0.3, -0.1]), basis,
+                           dt, 1.5, None, (0.0,))
+
+
+@pytest.mark.parametrize("mode,dt", [("discrete", 1.0), ("continuous", 0.05)])
+def test_estimate_x0_recovers_truth_three_states_two_channels(mode, dt):
+    basis = pk.parse_basis("sin(0.3), 1")
+    model = _three_state_model(mode, basis, dt)
+    x_true = np.array([0.8, -0.4, 1.1])
+    y = pk.simulate(model, x_true, 60)
+    assert y.shape == (60, 2)
+    np.testing.assert_allclose(pk.estimate_x0(model, y), x_true, atol=1e-9)
+
+
+def _rk4_reference(model, x0, steps):
+    """Forced continuous run with a basis evaluation per RK4 stage."""
+    def rhs(state, t):
+        phi = model.basis.evaluate(np.array([t]))[0]
+        return model.dynamics @ state + model.psi_coeffs @ phi
+
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for i in range(steps - 1):
+        x = pk.rk4_step(rhs, x, model.t0 + i * model.dt, model.dt)
+        out.append(x)
+    return np.array(out) @ model.C.T + model.output_offset
+
+
+def test_simulate_continuous_forced_matches_rk4_reference():
+    basis = pk.parse_basis("1, t, sin(2.0,0.3)")
+    model = _three_state_model("continuous", basis, 0.05)
+    x0 = np.array([0.5, -1.0, 0.25])
+    np.testing.assert_allclose(pk.simulate(model, x0, 200),
+                               _rk4_reference(model, x0, 200), rtol=1e-12)
+
+
+def test_simulate_basis_overflow_within_horizon_is_config_error():
+    model = pk.ReducedModel("discrete", np.array([[2.0]]), np.array([[1e-300]]),
+                            np.eye(1), np.zeros(1), pk.parse_basis("exp(10)"),
+                            1.0, 0.0, None, (0.0,))
+    # exp(10 t) overflows at t = 71, inside the 100-step horizon; the state
+    # itself would pass 1e12 only at step 40
+    with pytest.raises(pk.ConfigError, match="overflow"):
+        pk.simulate(model, [1.0], 100)
+
+
+def test_estimate_x0_unstable_free_mode_diverges():
+    model = pk.ReducedModel("discrete", np.diag([0.5, 2.0, 0.3]),
+                            np.zeros((3, 0)), np.ones((1, 3)), np.zeros(1),
+                            TimeBasis(()), 1.0, 0.0, None, (0.0,))
+    with pytest.raises(pk.DivergenceError):
+        pk.estimate_x0(model, np.linspace(0.0, 1.0, 60))
+
+
+def test_estimate_x0_divergence_check_is_per_run():
+    # a scaled rotation keeps every free run at norm gain**step, which ends
+    # at 8e11, below the 1e12 limit; the three runs stacked together have
+    # norm 1.4e12, which must not count as divergence
+    k = 50
+    gain = 8e11 ** (1.0 / (k - 1))
+    dyn = np.eye(3)
+    dyn[:2, :2] = damped_rotation(0.7, 1.0)
+    model = pk.ReducedModel("discrete", gain * dyn, np.zeros((3, 0)),
+                            np.array([[1.0, 2.0, -1.0]]), np.zeros(1),
+                            TimeBasis(()), 1.0, 0.0, None, (0.0,))
+    x_true = np.array([1.0, 0.5, 0.25])
+    y = pk.simulate(model, x_true, k)
+    np.testing.assert_allclose(pk.estimate_x0(model, y), x_true, rtol=1e-9)
+
+
 def test_model_json_round_trip():
     B = damped_rotation()
     basis = pk.parse_basis("t, sin(2.0,0.5)")
