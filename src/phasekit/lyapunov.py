@@ -9,7 +9,9 @@ Jacobians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .embedding import DelayEmbedding, successor_index
 from .errors import (ConfigError, DegenerateDataError, DivergenceError,
                      InsufficientDataError, ScalingRegionError)
 from .fitting import fit_scaling_region, fit_slope
-from .systems import DEFAULT_TRANSIENT, ReferenceSystem, rk4_step
+from .systems import DEFAULT_TRANSIENT, ReferenceSystem, rk4_floats
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,66 @@ def divergence_rate(curve: DivergenceCurve, fit_range: tuple | None = None,
     return RateEstimate(fit.slope, fit.stderr, (float(x[i]), float(x[j])))
 
 
-def _qr_accumulate(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+# Tangent frames of at most this many rows are stepped on Python floats, in
+# closed form on 3-component tuples (narrower frames padded with zeros, which
+# adds only exact zeros): at this size numpy's per-call cost outweighs the
+# arithmetic many times over.  Wider frames are stepped on numpy arrays.
+_FLOAT_WIDTH = 3
+
+
+def _pad3(m) -> tuple:
+    """A square matrix of at most 3 rows as a 3 x 3 tuple, zero-padded."""
+    if len(m) == 3:
+        return m
+    return tuple(tuple(row) + (0.0,) * (3 - len(m)) for row in m) \
+        + ((0.0, 0.0, 0.0),) * (3 - len(m))
+
+
+def _unit_frame(n_exp: int) -> list:
+    return [tuple(float(i == j) for i in range(3)) for j in range(n_exp)]
+
+
+def _mat_frame(m, frame) -> list:
+    """m @ W for a padded 3 x 3 m and a frame W held as its column tuples."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return [(a * p + b * q + c * r, d * p + e * q + f * r, g * p + h * q + i * r)
+            for p, q, r in frame]
+
+
+def _frame_finite(frame) -> bool:
+    return all(map(math.isfinite, chain.from_iterable(frame)))
+
+
+def _qr_step(frame, sigma) -> list:
+    """One QR step of a float frame: returns Q's columns, adds log r_jj to sigma[j].
+
+    Gram-Schmidt with one re-orthogonalisation pass ("twice is enough",
+    Giraud et al., Numer. Math. 101, 2005) keeps Q orthonormal to working
+    precision when the columns nearly align, as they do when several steps
+    pass between renormalisations.  Its r_jj are positive, which is the sign
+    rule _qr_lapack applies.
+    """
+    q = []
+    for j, (x, y, z) in enumerate(frame):
+        for _ in (0, 1) if q else ():
+            for a, b, c in q:
+                d = a * x + b * y + c * z
+                x, y, z = x - d * a, y - d * b, z - d * c
+        r = math.hypot(x, y, z)
+        if r == 0.0:
+            raise DegenerateDataError("tangent frame collapsed (zero QR diagonal)")
+        sigma[j] += math.log(r)
+        q.append((x / r, y / r, z / r))
+    return q
+
+
+def _array_finite(w: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(w)))
+
+
+def _qr_lapack(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """_qr_step for a (width, n_exp) array frame, through LAPACK, with Q's
+    column signs flipped so that diag(R) is positive."""
     q, r = np.linalg.qr(w)
     diag = np.diag(r).copy()
     if np.any(diag == 0.0):
@@ -274,9 +335,50 @@ def _qr_accumulate(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return q * np.sign(diag)
 
 
-def _tangent_rk4(system: ReferenceSystem, x: np.ndarray, w: np.ndarray,
-                 t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # Exact derivative of the RK4 one-step map, propagated alongside the state.
+def _tangent_map(system: ReferenceSystem, x: list, w: list,
+                 t: float, dt: float) -> tuple[list, list]:
+    return system.rhs(x, t), _mat_frame(_pad3(system.rhs_jac(x, t)), w)
+
+
+def _tangent_rk4(system: ReferenceSystem, x: list, w: list,
+                 t: float, dt: float) -> tuple[list, list]:
+    # Exact derivative of the RK4 one-step map, propagated alongside the
+    # state; the state takes the operations of systems.rk4_floats.
+    rhs, jac = system.rhs, system.rhs_jac
+    h = 0.5 * dt
+    k1 = rhs(x, t)
+    x2 = [a + h * b for a, b in zip(x, k1)]
+    k2 = rhs(x2, t + h)
+    x3 = [a + h * b for a, b in zip(x, k2)]
+    k3 = rhs(x3, t + h)
+    x4 = [a + dt * b for a, b in zip(x, k3)]
+    k4 = rhs(x4, t + dt)
+    sixth = dt / 6.0
+    x_new = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    m1 = _mat_frame(_pad3(jac(x, t)), w)
+    m2 = _mat_frame(_pad3(jac(x2, t + h)), [
+        (p + h * a, q + h * b, r + h * c) for (p, q, r), (a, b, c) in zip(w, m1)])
+    m3 = _mat_frame(_pad3(jac(x3, t + h)), [
+        (p + h * a, q + h * b, r + h * c) for (p, q, r), (a, b, c) in zip(w, m2)])
+    m4 = _mat_frame(_pad3(jac(x4, t + dt)), [
+        (p + dt * a, q + dt * b, r + dt * c) for (p, q, r), (a, b, c) in zip(w, m3)])
+    w_new = [(p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+              q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+              r + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+             for (p, q, r), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4)
+             in zip(w, m1, m2, m3, m4)]
+    return x_new, w_new
+
+
+def _tangent_map_array(system: ReferenceSystem, x: np.ndarray, w: np.ndarray,
+                       t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    return system.f(x, t), system.jac(x, t) @ w
+
+
+def _tangent_rk4_array(system: ReferenceSystem, x: np.ndarray, w: np.ndarray,
+                       t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    # _tangent_rk4 on a (dim, n_exp) array frame.
     f, jac = system.f, system.jac
     k1 = f(x, t)
     x2 = x + 0.5 * dt * k1
@@ -298,8 +400,12 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
                    dt: float | None = None, n_exp: int | None = None,
                    renorm_interval: int = 1,
                    transient: int = DEFAULT_TRANSIENT, t0: float = 0.0) -> LyapunovSpectrum:
-    """QR-iterated tangent propagation with the analytic Jacobian."""
-    x = np.asarray(system.x0_default if x0 is None else x0, dtype=float)
+    """QR-iterated tangent propagation with the analytic Jacobian.
+
+    Systems of at most 3 dimensions are stepped on Python floats through
+    their scalar rhs and rhs_jac, larger ones on numpy arrays.
+    """
+    x = np.asarray(system.x0_default if x0 is None else x0, dtype=float).tolist()
     dt = system.dt_default if dt is None else dt
     n_exp = system.dim if n_exp is None else n_exp
     if not 1 <= n_exp <= system.dim:
@@ -308,34 +414,41 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
         raise ValueError("steps must be positive")
     if renorm_interval < 1:
         raise ValueError("renorm_interval must be positive")
+    flow = system.kind == "flow"
     t = t0
-    for i in range(transient):
-        if system.kind == "flow":
-            x = rk4_step(system.f, x, t, dt)
-        else:
-            x = system.f(x, t)
-        t = t0 + (i + 1) * (dt if system.kind == "flow" else 1.0)
-    w = np.eye(system.dim)[:, :n_exp]
-    sigma = np.zeros(n_exp)
+    try:
+        for i in range(transient):
+            x = rk4_floats(system.rhs, x, t, dt) if flow else system.rhs(x, t)
+            t = t0 + (i + 1) * (dt if flow else 1.0)
+    except OverflowError:  # numpy would have carried an inf into step 0
+        raise DivergenceError(
+            f"{system.name}: tangent propagation diverged at step 0") from None
+    if system.dim <= _FLOAT_WIDTH:
+        w, sigma = _unit_frame(n_exp), [0.0] * n_exp
+        advance = _tangent_rk4 if flow else _tangent_map
+        finite, renormalise = _frame_finite, _qr_step
+    else:
+        x, w, sigma = np.array(x), np.eye(system.dim)[:, :n_exp], np.zeros(n_exp)
+        advance = _tangent_rk4_array if flow else _tangent_map_array
+        finite, renormalise = _array_finite, _qr_lapack
     pending = 0
     for i in range(steps):
-        if system.kind == "flow":
-            x, w = _tangent_rk4(system, x, w, t, dt)
-            t += dt
-        else:
-            w = system.jac(x, t) @ w
-            x = system.f(x, t)
-            t += 1.0
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(w)):
+        try:
+            x, w = advance(system, x, w, t, dt)
+            ok = finite([x]) and finite(w)
+        except OverflowError:  # a float power overflowed where numpy gives inf
+            ok = False
+        if not ok:
             raise DivergenceError(f"{system.name}: tangent propagation diverged at step {i}")
+        t += dt if flow else 1.0
         pending += 1
         if pending == renorm_interval:
-            w = _qr_accumulate(w, sigma)
+            w = renormalise(w, sigma)
             pending = 0
     if pending:
-        w = _qr_accumulate(w, sigma)
-    lam = np.sort(sigma / steps)[::-1]
-    sample_dt = dt if system.kind == "flow" else 1.0
+        w = renormalise(w, sigma)
+    lam = np.sort(np.array(sigma) / steps)[::-1]
+    sample_dt = dt if flow else 1.0
     return LyapunovSpectrum(tuple(lam), "benettin-exact", steps, sample_dt)
 
 
@@ -349,6 +462,8 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
     k defaults to 2*width+1.  The neighborhoods come from one batched query
     and every map from one stacked SVD, with lstsq's rank rule (singular
     values at most eps*max(k, width) times the largest count as zero).
+    Frames of width at most 3 are stepped on Python floats, wider ones on
+    numpy arrays.
     """
     pts = emb.points
     width = emb.width
@@ -375,28 +490,34 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
     y = pts[nbrs + 1] - pts[rows + 1][:, None, :]
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     cutoff = np.finfo(float).eps * max(k_neighbors, width) * s[:, :1]
-    rank = np.sum(s > cutoff, axis=1)
+    rank = np.sum(s > cutoff, axis=1).tolist()
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     # Transposed least-squares solutions: jac[t] @ x[t, i] ~ y[t, i].
     jac = np.swapaxes(y, 1, 2) @ u @ (inv_s[:, :, None] * vt)
 
-    w = np.eye(width)[:, :n_exp]
-    sigma = np.zeros(n_exp)
+    if width <= _FLOAT_WIDTH:
+        padded = np.zeros((steps, 3, 3))
+        padded[:, :width, :width] = jac
+        jac, w, sigma = padded.tolist(), _unit_frame(n_exp), [0.0] * n_exp
+        propagate, finite, renormalise = _mat_frame, _frame_finite, _qr_step
+    else:
+        w, sigma = np.eye(width)[:, :n_exp], np.zeros(n_exp)
+        propagate, finite, renormalise = np.matmul, _array_finite, _qr_lapack
     pending = 0
     for t in range(steps):
         if rank[t] < width:
             raise DegenerateDataError(
                 f"singular neighborhood regression at row {t}; increase k_neighbors")
-        w = jac[t] @ w
-        if not np.all(np.isfinite(w)):
+        w = propagate(jac[t], w)
+        if not finite(w):
             raise DivergenceError(f"tangent propagation diverged at row {t}")
         pending += 1
         if pending == renorm_interval:
-            w = _qr_accumulate(w, sigma)
+            w = renormalise(w, sigma)
             pending = 0
     if pending:
-        w = _qr_accumulate(w, sigma)
-    lam = np.sort(sigma / steps)[::-1]
+        w = renormalise(w, sigma)
+    lam = np.sort(np.array(sigma) / steps)[::-1]
     return LyapunovSpectrum(tuple(lam), "benettin-data", steps, emb.dt)
 
 

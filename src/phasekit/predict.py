@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist
 
 from .embedding import DelayEmbedding, NeighborIndex, successor_index
@@ -347,8 +348,25 @@ class LocalStability:
 
 
 def _successor_stability(successors: np.ndarray) -> float:
-    """lambda_D = 1 / largest pairwise successor distance, +inf when it is 0."""
-    dmax = float(pdist(successors).max())
+    """lambda_D = 1 / largest pairwise successor distance, +inf when it is 0.
+
+    The farthest pair of a point set is a pair of its convex hull's vertices,
+    so for m >= 2 only the hull's vertices, plus the points Qhull set aside as
+    within roundoff of a facet, are compared (Barber et al., ACM TOMS 22,
+    1996); every pair is compared when Qhull finds the hull degenerate.  For
+    m = 1 the largest distance is max - min.  Either way the maximum is the
+    one distance all pairs would give, bit for bit.
+    """
+    if successors.shape[1] == 1:
+        dmax = float(successors.max() - successors.min())
+    else:
+        try:
+            hull = ConvexHull(successors)
+        except QhullError:
+            dmax = float(pdist(successors).max())
+        else:
+            keep = np.union1d(hull.vertices, hull.coplanar[:, 0])
+            dmax = float(pdist(successors[keep]).max())
     return math.inf if dmax == 0.0 else 1.0 / dmax
 
 

@@ -88,11 +88,13 @@ def test_simulate_decay_sequence():
 
 
 def test_simulate_divergence_detected():
-    model = pk.ReducedModel("discrete", np.array([[2.0]]), np.zeros((1, 0)),
-                            np.eye(1), np.zeros(1), TimeBasis(()), 1.0, 0.0,
-                            None, (0.0,))
-    with pytest.raises(pk.DivergenceError):
-        pk.simulate(model, [1.0], 60)
+    # gain**step is the first power past the 1e12 limit
+    for gain, step in ((2.0, 40), (1.2, 152)):
+        model = pk.ReducedModel("discrete", np.array([[gain]]), np.zeros((1, 0)),
+                                np.eye(1), np.zeros(1), TimeBasis(()), 1.0, 0.0,
+                                None, (0.0,))
+        with pytest.raises(pk.DivergenceError, match=f"diverged at step {step}$"):
+            pk.simulate(model, [1.0], 400)
 
 
 def test_fit_percent_reference_points():

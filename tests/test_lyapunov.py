@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phasekit as pk
+from phasekit import lyapunov
 
 HENON_LAMBDA1 = 0.419
 HENON_BAND = 0.06  # tolerance shared by the delay-coordinate estimators
@@ -51,6 +55,15 @@ def test_benettin_exact_rejects_bad_args():
         pk.benettin_exact(sys, 0)
     with pytest.raises(ValueError):
         pk.benettin_exact(sys, 100, renorm_interval=0)
+
+
+@pytest.mark.parametrize("transient", [0, 3])
+def test_benettin_exact_overflow_is_divergence(transient):
+    # x1**2 overflows in the first step, of the transient or of the QR run
+    with pytest.raises(pk.DivergenceError,
+                       match="test42: tangent propagation diverged at step 0$"):
+        pk.benettin_exact(pk.catalog("test42"), 10, x0=(0.0, 1e160, 0.0),
+                          transient=transient)
 
 
 def test_wolf_henon(henon_emb):
@@ -126,6 +139,105 @@ def test_benettin_data_names_first_singular_row():
     emb = pk.DelayEmbedding(np.vstack([cloud, line]), np.arange(200), 1, 1, 1.0)
     with pytest.raises(pk.DegenerateDataError, match="at row 120;"):
         pk.benettin_data(emb)
+
+
+@st.composite
+def _frames(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    w = draw(arrays(float, (n, k), elements=st.floats(-1.0, 1.0)))
+    s = np.linalg.svd(w, compute_uv=False)
+    assume(s[-1] > 0.01 * s[0])  # condition number below 100
+    return w
+
+
+@given(_frames())
+def test_qr_step_matches_lapack(w):
+    n, k = w.shape
+    sigma = [0.0] * k
+    frame = [tuple(col) + (0.0,) * (3 - n) for col in w.T.tolist()]
+    q = np.array(lyapunov._qr_step(frame, sigma)).T
+    q_ref, r_ref = np.linalg.qr(w)
+    diag = np.diag(r_ref)
+    np.testing.assert_allclose(np.exp(sigma), np.abs(diag), rtol=1e-12)
+    np.testing.assert_allclose(q[:n], q_ref * np.sign(diag), rtol=0, atol=1e-12)
+    assert not q[n:].any()  # the zero padding stays zero
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_qr_step_keeps_aligned_columns_orthonormal(gap):
+    # columns at angles of about gap, as between renormalisations of a
+    # chaotic frame; one Gram-Schmidt pass would leave Q off by eps/gap
+    frame = [(1.0, 0.5, -0.25), (1.0, 0.5 + gap, -0.25), (1.0, 0.5, -0.25 + gap)]
+    q = np.array(lyapunov._qr_step(frame, [0.0] * 3))
+    np.testing.assert_allclose(q @ q.T, np.eye(3), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("frame", [[(0.0, 0.0, 0.0)],
+                                   [(1.0, 2.0, 0.0), (0.0, 0.0, 0.0)]])
+def test_qr_step_zero_column_is_degenerate(frame):
+    with pytest.raises(pk.DegenerateDataError, match="zero QR diagonal"):
+        lyapunov._qr_step(frame, [0.0] * len(frame))
+
+
+def _benettin_data_lapack(emb, steps, renorm_interval):
+    """Reference loop: per-row least-squares Jacobians, LAPACK QR.
+
+    Also returns the sum of |w_j| / r_jj over the renormalisations: the
+    factor by which the alignment of the frame's columns magnifies rounding
+    in log r_jj, for any QR.
+    """
+    pts, width = emb.points, emb.width
+    rows = np.arange(steps)
+    nbrs, _ = pk.successor_index(emb, 1).knn_many(rows, 2 * width + 1,
+                                                  emb.default_theiler())
+    w, sigma, alignment, pending = np.eye(width), np.zeros(width), 0.0, 0
+    for t in rows:
+        sol, _, _, _ = np.linalg.lstsq(pts[nbrs[t]] - pts[t],
+                                       pts[nbrs[t] + 1] - pts[t + 1], rcond=None)
+        w = sol.T @ w
+        pending += 1
+        if pending == renorm_interval or t == steps - 1:
+            q, r = np.linalg.qr(w)
+            diag = np.diag(r)
+            sigma += np.log(np.abs(diag))
+            alignment += float(np.sum(np.linalg.norm(w, axis=0) / np.abs(diag)))
+            w, pending = q * np.sign(diag), 0
+    return np.sort(sigma / steps)[::-1], alignment
+
+
+@pytest.mark.parametrize("renorm_interval", [1, 7])
+def test_benettin_data_matches_lapack_reference(henon_emb, renorm_interval):
+    steps = 5000
+    ref, alignment = _benettin_data_lapack(henon_emb, steps, renorm_interval)
+    spec = pk.benettin_data(henon_emb, steps=steps, renorm_interval=renorm_interval)
+    # 1e-12 when the columns stay apart (alignment/steps is about 8 at
+    # interval 1); at interval 7 they align to about 1 part in 6e5, and both
+    # QRs sit ~1e-10 from exact arithmetic per renormalisation.
+    tol = 1e-12 + 4.0 * np.finfo(float).eps * alignment / steps
+    np.testing.assert_allclose(spec.exponents, ref, rtol=0, atol=tol)
+
+
+def test_float_and_array_frames_agree(henon_emb, monkeypatch):
+    # Frames wider than _FLOAT_WIDTH step on numpy arrays; forcing every
+    # width onto that path must give the same exponents.
+    def run():
+        return (pk.benettin_data(henon_emb, steps=3000).exponents
+                + pk.benettin_data(henon_emb, steps=3000, renorm_interval=3).exponents
+                + pk.benettin_exact(pk.catalog("lorenz"), 1000).exponents
+                + pk.benettin_exact(pk.catalog("henon"), 1000, n_exp=1).exponents)
+
+    floats = run()
+    monkeypatch.setattr(lyapunov, "_FLOAT_WIDTH", 0)
+    np.testing.assert_allclose(floats, run(), rtol=0, atol=1e-12)
+
+
+def test_benettin_exact_lorenz_sum_at_fine_step():
+    # The RK4 map contracts volume by exp(-41/3 dt) only up to its truncation
+    # error, which shifts the sum by 1.0e-6 at dt = 0.01 and 3e-8 at 0.005.
+    dt = 0.005
+    spec = pk.benettin_exact(pk.catalog("lorenz"), 5000, dt=dt)
+    assert sum(spec.exponents) == pytest.approx(-41.0 / 3.0 * dt, abs=1e-6)
 
 
 def test_rosenstein_breaks_ties_by_lower_row():

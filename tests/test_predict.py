@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 import phasekit as pk
-from phasekit.predict import (ColdStartWarning, PredictorModel, layout_mask,
+from phasekit.predict import (ColdStartWarning, PredictorModel,
+                              _successor_stability, layout_mask,
                               step_sign_feature, successor_index,
                               value_feature)
 from phasekit.regressors import LinearRegressor
@@ -208,6 +210,25 @@ def test_local_stability_values():
         pk.local_stability(emb, [0])
     with pytest.raises(pk.InsufficientDataError):
         pk.local_stability(emb, [2, 3])  # row 3 has no successor
+
+
+def _all_pairs_stability(points):
+    dmax = float(pdist(points).max())
+    return math.inf if dmax == 0.0 else 1.0 / dmax
+
+
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(0).standard_normal((500, 1)),     # m = 1: max - min
+    np.random.default_rng(1).standard_normal((2000, 2)),
+    np.random.default_rng(2).standard_normal((800, 3)),
+    np.array([[0.0, 0.0], [1.0, 1.0]]),                    # too few for a hull
+    np.column_stack([np.arange(9.0), 2.0 * np.arange(9.0)]),  # collinear
+    np.repeat([[0.3, -1.0], [0.3, -1.0], [2.0, 4.0], [-1.0, 0.5]], 5, axis=0),
+    np.round(np.random.default_rng(3).standard_normal((300, 2)), 1),  # ties
+    np.full((6, 2), 0.25),                                  # one point: +inf
+])
+def test_successor_stability_equals_all_pairs_maximum(points):
+    assert _successor_stability(points) == _all_pairs_stability(points)
 
 
 def test_composite_j_gate():

@@ -95,10 +95,43 @@ def test_sample_flow_matches_rk4():
 
 
 def test_sample_divergence_is_reported():
-    with pytest.raises(pk.DivergenceError):
+    with pytest.raises(pk.DivergenceError, match="henon: state diverged at step 7$"):
         pk.sample(pk.catalog("henon"), 50, x0=(10.0, 10.0), transient=0)
-    with pytest.raises(pk.DivergenceError):
+    with pytest.raises(pk.DivergenceError, match="example3: state diverged at step 82$"):
         pk.sample(pk.catalog("example3"), 200)
+    # Henon from (10, 10) is still finite at step 7, but past the norm limit
+    sys = pk.catalog("henon")
+    x = np.array([10.0, 10.0])
+    for _ in range(7):
+        x = sys.f(x, 0.0)
+    assert np.all(np.isfinite(x)) and 1e100 < np.linalg.norm(x) < 1e200
+    # A square that overflows (Python raises where numpy gives inf) is too
+    with pytest.raises(pk.DivergenceError, match="test42: state diverged at step 1$"):
+        pk.sample(pk.catalog("test42"), 5, x0=(0.0, 1e160, 0.0), transient=0)
+
+
+def _sample_reference(system, steps, transient):
+    """sample() stepped on numpy arrays through system.f and rk4_step."""
+    dt = system.dt_default
+    x = np.asarray(system.x0_default, dtype=float)
+    rows = [x]
+    for i in range(transient + steps - 1):
+        if system.kind == "flow":
+            x = pk.rk4_step(system.f, x, i * dt, dt)
+        else:
+            x = system.f(x, float(i))
+        rows.append(x)
+    return np.array(rows)[transient:]
+
+
+@pytest.mark.parametrize("name", ["henon", "lorenz", "rossler",
+                                  "test42", "example2", "example3"])
+def test_sample_is_bit_identical_to_array_stepping(name):
+    sys = pk.catalog(name)
+    steps = 60 if name == "example3" else 1500
+    transient = 0 if name == "example3" else 500
+    np.testing.assert_array_equal(pk.sample(sys, steps, transient=transient),
+                                  _sample_reference(sys, steps, transient))
 
 
 def test_transient_map_rides_bounded_window():
