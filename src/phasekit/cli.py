@@ -454,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-hi", type=float, default=None,
                    help="last offset of a manual fit window")
     p.add_argument("--renorm-interval", type=int, default=1,
-                   help="benettin: steps between re-orthonormalizations")
+                   help="benettin: steps between re-orthonormalizations; "
+                        "k > 1 loses about eps*exp((lambda1-lambda2)*k) of "
+                        "relative accuracy in log r_jj per renormalization")
     p.add_argument("--k-neighbors", type=int, default=None,
                    help="benettin: neighbors per local Jacobian fit "
                         "(default 2m+1)")

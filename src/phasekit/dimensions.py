@@ -1,8 +1,8 @@
 """Fractal dimension estimators and the Lyapunov-dimension formula.
 
-Correlation sums count ordered pairs closer than eps (temporal neighbors
-excluded), normalized by the squared point count.  All dimension fits run in
-base-2 logs.
+Correlation sums count ordered pairs within eps, that is at squared
+Euclidean distance <= eps**2 (temporal neighbors excluded), normalized by the
+squared point count.  All dimension fits run in base-2 logs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .fitting import fit_scaling_region, fit_slope, scaling_window
 
 DEFAULT_GRID_POINTS = 24
 DEFAULT_GRID_SPAN = (1e-3, 1.0)  # relative to the data diameter
+
+# Correlation sums split the points into spatial blocks of at least this many
+# rows; smaller blocks cost more in per-call overhead than they save.
+_BLOCK_ROWS = 128
 
 
 def _as_points(data) -> tuple[np.ndarray, np.ndarray]:
@@ -59,13 +63,62 @@ class DimensionEstimate:
     n_fit_points: int
 
 
+def _spatial_blocks(points: np.ndarray) -> list:
+    """Row-index blocks from stable median cuts along each block's widest axis.
+
+    A block is cut only while both halves keep at least _BLOCK_ROWS rows, so
+    below 2 * _BLOCK_ROWS points there is a single block.
+    """
+    blocks, pending = [], [np.arange(points.shape[0])]
+    while pending:
+        rows = pending.pop()
+        if rows.size < 2 * _BLOCK_ROWS:
+            blocks.append(rows)
+            continue
+        sub = points[rows]
+        axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+        order = rows[np.argsort(sub[:, axis], kind="stable")]
+        half = rows.size // 2
+        pending += [order[half:], order[:half]]
+    return blocks
+
+
+def _pair_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
+    """Ordered pairs (i, j), self-pairs included, with squared distance <= eps**2.
+
+    Each unordered pair of blocks is counted once and doubled, where a single
+    tree counted with itself would visit every cross pair twice.
+    """
+    trees = [cKDTree(points[rows]) for rows in _spatial_blocks(points)]
+    counts = np.zeros(epsilons.size, dtype=np.int64)
+    for i, tree in enumerate(trees):
+        counts += tree.count_neighbors(tree, epsilons)
+        for other in trees[i + 1:]:
+            counts += 2 * tree.count_neighbors(other, epsilons)
+    return counts
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances, summed over coordinates left to right as
+    the k-d tree sums them, so both apply the same eps**2 cut-off."""
+    diff = a - b
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        d2 += diff[:, k] * diff[:, k]
+    return d2
+
+
 def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCurve:
     """Fraction of ordered point pairs within eps, excluding |t_i - t_j| <= theiler.
 
-    Counting runs on a dual-tree pair count with the temporally excluded
-    near-diagonal pairs subtracted explicitly, so no pair is enumerated twice.
+    A pair is within eps when its squared Euclidean distance is <= eps**2.
+    Pairs are counted on k-d trees over spatial blocks (each pair of blocks
+    once), and the temporally excluded near-diagonal pairs are subtracted
+    explicitly under the same squared-distance rule.
     """
     points, times = _as_points(data)
+    if points.ndim != 2:
+        raise ValueError("data must be of shape (n, m): n points of dimension m")
     m = points.shape[0]
     if m < 2:
         raise InsufficientDataError("need at least 2 points")
@@ -77,18 +130,15 @@ def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCu
     if np.any(np.diff(epsilons) <= 0):
         raise ValueError("epsilons must be strictly increasing")
 
-    tree = cKDTree(points)
-    counts = tree.count_neighbors(tree, epsilons).astype(float)
+    counts = _pair_counts(points, epsilons)
 
     # Remove self-pairs and temporally close pairs.  Rows are consecutive in
     # time, so |t_i - t_j| <= theiler is exactly the band |i - j| <= theiler.
     counts -= m  # offset 0: every self-pair sits at distance 0
-    for off in range(1, theiler + 1):
-        if off >= m:
-            break
-        d = np.sqrt(np.sum((points[off:] - points[:-off]) ** 2, axis=1))
-        d.sort()
-        counts -= 2.0 * np.searchsorted(d, epsilons, side="right")
+    eps2 = epsilons * epsilons
+    for off in range(1, min(theiler, m - 1) + 1):
+        d2 = np.sort(_squared_distances(points[off:], points[:-off]))
+        counts -= 2 * np.searchsorted(d2, eps2, side="right")
 
     values = counts / float(m) ** 2
     return CorrelationCurve(epsilons, values, m, theiler)
@@ -137,8 +187,12 @@ def correlation_dimension(curve: CorrelationCurve, fit_range: tuple | None = Non
 def _box_masses(points: np.ndarray, eps: float) -> np.ndarray:
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / eps).astype(np.int64)
-    _, counts = np.unique(idx, axis=0, return_counts=True)
-    return counts / points.shape[0]
+    # Sort rows lexicographically (first coordinate most significant) and
+    # count runs of equal rows: the occupied boxes in np.unique's order.
+    idx = idx[np.lexsort(idx.T[::-1])]
+    new_box = np.any(idx[1:] != idx[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_box, [True])))
+    return np.diff(starts) / points.shape[0]
 
 
 def generalized_curve(data, q: float, epsilons=None):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import phasekit as pk
+from phasekit import dimensions
 
 
 def brute_correlation(points, epsilons, theiler):
@@ -55,6 +57,78 @@ def test_correlation_matches_brute_force(seed, theiler):
                                atol=1e-12)
     assert np.all(np.diff(curve.values) >= 0)
     assert np.all(curve.values >= 0) and np.all(curve.values <= 1)
+
+
+def test_correlation_band_uses_the_trees_squared_distance_rule():
+    # The first pair lies at squared distance 1 + 2**-52 > 1 = eps**2, so the
+    # tree does not count it at eps = 1, although sqrt rounds its distance
+    # to exactly 1.0; the Theiler band must not subtract it there either.
+    pts = np.array([(0.0, 0.0), (1.0, 2.0 ** -26), (50.0, 50.0), (80.0, 10.0)])
+    curve = pk.correlation_integral(pts, epsilons=[0.5, 1.0, 2.0], theiler=1)
+    assert np.all(curve.values >= 0) and np.all(curve.values <= 1)
+    assert np.all(np.diff(curve.values) >= 0)
+    np.testing.assert_array_equal(curve.values, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [10, 300])
+def test_correlation_rejects_flat_points(n):
+    with pytest.raises(ValueError, match="shape"):
+        pk.correlation_integral(np.arange(float(n)), epsilons=[1.0])
+
+
+def _test_points(seed, n, width, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":  # exact ties at distance == eps
+        return rng.integers(0, 5, size=(n, width)).astype(float), np.array([1.0, 2.0, 3.0])
+    if kind == "duplicates":
+        base = rng.normal(size=(max(1, n // 4), width))
+        pts = base[rng.integers(0, base.shape[0], size=n)]
+    else:
+        pts = rng.normal(size=(n, width))
+    return pts, np.geomspace(0.05, 5.0, 9)
+
+
+@pytest.mark.parametrize("n, n_blocks", [(1, 1), (255, 1), (256, 2), (600, 4)])
+def test_spatial_blocks_partition_the_rows(n, n_blocks):
+    pts, _ = _test_points(n, n, 3, "normal")
+    blocks = dimensions._spatial_blocks(pts)
+    assert len(blocks) == n_blocks
+    assert min(b.size for b in blocks) >= min(n, dimensions._BLOCK_ROWS)
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 600), st.integers(1, 5),
+       st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(0, 3))
+@example(0, 600, 2, "lattice", 3)
+@example(1, 600, 5, "duplicates", 1)
+@example(2, 256, 1, "lattice", 0)
+def test_blocked_pair_counts_match_single_tree(seed, n, width, kind, theiler):
+    pts, eps = _test_points(seed, n, width, kind)
+    tree = cKDTree(pts)
+    want = tree.count_neighbors(tree, eps)
+    got = dimensions._pair_counts(pts, eps)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    if n < 2:
+        return
+    # The band subtraction drops exactly the pairs the tree counted.
+    band = sum(2 * (np.sum((pts[off:] - pts[:-off]) ** 2, axis=1)[:, None]
+                    <= eps * eps).sum(axis=0)
+               for off in range(1, min(theiler, n - 1) + 1))
+    curve = pk.correlation_integral(pts, epsilons=eps, theiler=theiler)
+    np.testing.assert_array_equal(curve.values, (want - n - band) / float(n) ** 2)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 400), st.integers(1, 5),
+       st.sampled_from(["normal", "lattice", "duplicates"]),
+       st.sampled_from([0.05, 0.5, 1.0, 3.0]))
+def test_box_masses_match_unique_rows(seed, n, width, kind, eps):
+    pts, _ = _test_points(seed, n, width, kind)
+    idx = np.floor((pts - pts.min(axis=0)) / eps).astype(np.int64)
+    _, counts = np.unique(idx, axis=0, return_counts=True)
+    got = dimensions._box_masses(pts, eps)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, counts / n)
 
 
 def test_correlation_dimension_exact_power_law():

@@ -66,6 +66,18 @@ def test_benettin_exact_overflow_is_divergence(transient):
                           transient=transient)
 
 
+@pytest.mark.parametrize("transient, step", [(0, 6), (1000, 0)])
+def test_benettin_exact_runaway_state_is_divergence(transient, step):
+    # From (10, 10) the Henon state passes the 1e100 norm limit at step 6 and
+    # overflows only at step 8.  Without the limit the QR at step 7 finds the
+    # frame collapsed (DegenerateDataError): at such norms the tangent
+    # columns are parallel in floating point.
+    with pytest.raises(pk.DivergenceError,
+                       match=f"henon: tangent propagation diverged at step {step}$"):
+        pk.benettin_exact(pk.catalog("henon"), 50, x0=(10.0, 10.0),
+                          transient=transient)
+
+
 def test_wolf_henon(henon_emb):
     res = pk.wolf_lambda1(henon_emb)
     assert res.lambda1 == pytest.approx(HENON_LAMBDA1, abs=HENON_BAND)
