@@ -286,19 +286,18 @@ def cmd_predict(args) -> dict:
                               args.n_neighbors, theiler)
     stab = prd.local_stability(emb, nbrs)
     j = prd.composite_J(stab.j1, stab.j2, args.lambda_min)
-    successors = emb.points[np.asarray(nbrs) + 1]
-    forecast = successors.mean(axis=0)
+    forecast = prd.local_predict(emb, row, args.n_neighbors, theiler, index=sub)
     # Training residual of the constant local-mean model over the neighbors.
-    e_val = float(np.sum((successors - forecast) ** 2))
-    gated = j == 0.0 or (args.gate is not None and e_val >= args.gate)
-    if gated:
-        forecast = np.zeros_like(forecast)
+    e_val = float(np.sum((emb.points[nbrs + 1] - forecast) ** 2))
+    chosen = prd.select_prediction([(forecast, e_val)], gate=args.gate)
+    gated = j == 0.0 or chosen.gated
+    forecast = np.zeros_like(forecast) if gated else chosen.forecast
     params = _params(args, dt=series.dt, theiler=theiler)
     payload = {"command": "predict", "params": params,
                "config": {"m": args.m, "tau": args.tau,
                           "features": ["local_mean"]},
                "lambda_D": stab.lambda_d, "J": j, "forecast": forecast,
-               "gated": bool(gated), "e_psi": e_val,
+               "gated": gated, "e_psi": chosen.e_psi,
                "n_neighbors": int(stab.j2)}
     _emit(payload, args.out)
     return payload
@@ -342,17 +341,16 @@ def _descriptor_dict(desc: ct.ContourDescriptors) -> dict:
 def cmd_symmetry(args) -> dict:
     pts_a = ct.load_contour(args.input)
     spec_a = ct.dft(pts_a)
-    _, desc_a = ct.normalize(spec_a)
+    norm_a = ct.normalize(spec_a)
     if args.spectrum_out:
         ct.save_spectrum(_resolve_out(args.spectrum_out), spec_a)
     payload = {"command": "symmetry", "params": _params(args),
-               "a": _descriptor_dict(desc_a),
+               "a": _descriptor_dict(norm_a[1]),
                "b": None, "comparison": None}
     if args.input_b:
-        pts_b = ct.load_contour(args.input_b)
-        _, desc_b = ct.normalize(ct.dft(pts_b))
-        report = ct.symmetry_between(pts_a, pts_b)
-        payload["b"] = _descriptor_dict(desc_b)
+        norm_b = ct.normalize(ct.dft(ct.load_contour(args.input_b)))
+        report = ct.compare_normalized(norm_a, norm_b)
+        payload["b"] = _descriptor_dict(norm_b[1])
         payload["comparison"] = {
             "translation": report.translation,
             "scale_ratio": report.scale_ratio,

@@ -175,8 +175,12 @@ class SymmetryReport:
 
 def symmetry_between(points_a: np.ndarray, points_b: np.ndarray) -> SymmetryReport:
     """Compare two contours modulo translation, scaling and rotation."""
-    norm_a, desc_a = normalize(dft(points_a))
-    norm_b, desc_b = normalize(dft(points_b))
+    return compare_normalized(normalize(dft(points_a)), normalize(dft(points_b)))
+
+
+def compare_normalized(a: tuple, b: tuple) -> SymmetryReport:
+    """symmetry_between for two (spectrum, descriptors) pairs from normalize."""
+    (norm_a, desc_a), (norm_b, desc_b) = a, b
     if norm_a.shape != norm_b.shape:
         raise ConfigError(
             f"contours differ in shape: {norm_a.shape} vs {norm_b.shape}")

@@ -129,6 +129,8 @@ def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCu
         raise ValueError("epsilons must be a 1-D positive array")
     if np.any(np.diff(epsilons) <= 0):
         raise ValueError("epsilons must be strictly increasing")
+    if theiler < 0:
+        raise ValueError(f"theiler must be >= 0, got {theiler}")
 
     counts = _pair_counts(points, epsilons)
 

@@ -45,7 +45,7 @@ def mutual_information_profile(series: TimeSeries, tau_max: int,
     makes the estimate exactly symmetric under time reversal.  Values are
     clamped at zero (the estimator is non-negative up to float noise).
     """
-    x = series.values[:, channel]
+    x = series.column(channel)
     n = x.size
     if not 1 <= tau_max < n:
         raise InsufficientDataError(f"tau_max must lie in [1, {n - 1}]")
@@ -150,18 +150,26 @@ def embedding_to_series(emb: DelayEmbedding) -> TimeSeries:
 class NeighborIndex:
     """k-d tree over embedding rows with temporal (Theiler) exclusion.
 
-    Neighbor order is (distance, row index) ascending, with distances
-    recomputed in numpy, so results coincide exactly with a brute-force scan.
+    A row is admissible for a query at time t when its time lies more than
+    theiler from t.  Neighbor order is (distance, row index) ascending, with
+    distances recomputed in numpy, so results coincide exactly with a
+    brute-force scan, ties included.
 
-    knn_many answers many rows with one k-d tree call and returns exactly what
-    query returns for each row, ties included.  A row's pool is its
-    k + 2*theiler + 2 nearest rows in tree order.  The first k admissible
-    candidates are re-sorted by (numpy distance, row index) and kept when the
-    pool also holds a (k+1)-th admissible candidate farther than the k-th by
-    more than the tree slack, or when the pool covers every row and holds
-    exactly k admissible ones.  Any other row (a tie at the cut, a pool short
-    of admissible rows, fewer than k admissible rows in all) goes through the
-    per-row query_point, which regrows its own pool.
+    query_point, query and knn_many all run one batched routine.  It asks the
+    tree once for each query point's pool, its k + 2*theiler + 2 nearest rows
+    in tree order, and finishes each point in one of three ways:
+    - the cut is clear: the pool holds a (k+1)-th admissible row farther than
+      the k-th by more than the tree slack, or it covers every row and holds
+      exactly k admissible ones.  The first k admissible rows, re-sorted by
+      (numpy distance, row index), are the answer;
+    - a tie at the cut: the pool holds k admissible rows but the cut is not
+      clear.  radius_point at the k-th numpy distance returns every
+      admissible row that could rank, and its first k are the answer;
+    - the pool holds fewer than k admissible rows: ranked scans every row.
+      With distinct times a window excludes at most 2*theiler + 1 rows, so
+      this happens only when times repeat or the pool covers every row.
+    A point with fewer than k admissible rows in all raises
+    InsufficientDataError; k < 1 or theiler < 0 raise ValueError.
 
     default_theiler is the exclusion window used by queries that pass no
     theiler of their own.  An explicit value always wins; None means the
@@ -183,42 +191,66 @@ class NeighborIndex:
         self.n = self.points.shape[0]
         self.tree = cKDTree(self.points)
 
-    def _admissible(self, indices: np.ndarray, row: int, theiler: int) -> np.ndarray:
-        keep = np.abs(self.times[indices] - self.times[row]) > theiler
-        return indices[keep]
+    def _window(self, theiler: int | None) -> int:
+        if theiler is None:
+            theiler = self.default_theiler
+        if theiler < 0:
+            raise ValueError(f"theiler must be >= 0, got {theiler}")
+        return theiler
 
     def _order(self, query_point: np.ndarray, indices: np.ndarray):
         d = np.sqrt(np.sum((self.points[indices] - query_point) ** 2, axis=1))
         order = np.lexsort((indices, d))
         return indices[order], d[order]
 
+    def _knn(self, points: np.ndarray, times: np.ndarray, k: int,
+             theiler: int | None):
+        """The k nearest admissible rows of each query point at its time."""
+        theiler = self._window(theiler)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        n_q = points.shape[0]
+        pool = min(self.n, k + 2 * theiler + 2)
+        tree_d, idx = self.tree.query(points, k=pool)
+        tree_d = tree_d.reshape(n_q, pool)
+        idx = idx.reshape(n_q, pool)
+        adm = np.abs(self.times[idx] - times[:, None]) > theiler
+        count = adm.sum(axis=1)
+        # Pool columns of the first k+1 admissible candidates, in tree order.
+        cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
+        clear = (pool == self.n) & (count == k)
+        if pool > k:
+            d_cut = np.take_along_axis(tree_d, cols[:, k - 1:k + 1], axis=1)
+            clear |= (count > k) & (d_cut[:, 1] > d_cut[:, 0] * (1.0 + _TREE_SLACK))
+
+        out_idx = np.empty((n_q, k), dtype=int)
+        out_d = np.empty((n_q, k))
+        full = count >= k
+        if full.any():
+            cand = np.take_along_axis(idx[full], cols[full, :k], axis=1)
+            diff = self.points[cand] - points[full][:, None, :]
+            d = np.sqrt(np.sum(diff ** 2, axis=2))
+            order = np.lexsort((cand, d))
+            out_idx[full] = np.take_along_axis(cand, order, axis=1)
+            out_d[full] = np.take_along_axis(d, order, axis=1)
+        for i in np.flatnonzero(full & ~clear):
+            ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1], theiler)
+            out_idx[i], out_d[i] = ball[:k], ball_d[:k]
+        for i in np.flatnonzero(~full):
+            ranked, ranked_d = self.ranked(points[i], times[i], theiler)
+            if ranked.size < k:
+                raise InsufficientDataError(
+                    f"only {ranked.size} admissible neighbors near time {times[i]} "
+                    f"(need {k})")
+            out_idx[i], out_d[i] = ranked[:k], ranked_d[:k]
+        return out_idx, out_d
+
     def query_point(self, point: np.ndarray, time, k: int,
                     theiler: int | None = None):
         """k nearest rows admissible w.r.t. an explicit query time."""
-        if theiler is None:
-            theiler = self.default_theiler
-        q = np.asarray(point, dtype=float)
-        pool = min(self.n, k + 2 * (2 * theiler + 1) + 8)
-        while True:
-            _, idx = self.tree.query(q, k=pool)
-            idx = np.atleast_1d(idx)
-            adm = idx[np.abs(self.times[idx] - time) > theiler]
-            if adm.size >= k or pool >= self.n:
-                break
-            pool = min(self.n, pool * 2)
-        if adm.size < k:
-            raise InsufficientDataError(
-                f"only {adm.size} admissible neighbors near time {time} (need {k})")
-        adm, d = self._order(q, adm)
-        # Pull in everything tied with the k-th distance before cutting.
-        dk = d[k - 1]
-        ball = np.asarray(self.tree.query_ball_point(q, dk * (1.0 + _TREE_SLACK)),
-                          dtype=int)
-        ball = ball[np.abs(self.times[ball] - time) > theiler]
-        ball, bd = self._order(q, ball)
-        if ball.size >= k:
-            return ball[:k], bd[:k]
-        return adm[:k], d[:k]
+        idx, d = self._knn(np.asarray(point, dtype=float)[None, :],
+                           np.asarray([time]), k, theiler)
+        return idx[0], d[0]
 
     def query(self, row: int, k: int, theiler: int | None = None):
         """k nearest admissible rows; returns (indices, distances)."""
@@ -227,54 +259,17 @@ class NeighborIndex:
     def knn_many(self, rows, k: int, theiler: int | None = None):
         """query(row, k, theiler) for every row at once.
 
-        Returns (indices, distances), each of shape (len(rows), k).  Raises
-        InsufficientDataError as query does when a row has fewer than k
-        admissible neighbors.
+        Returns (indices, distances), each of shape (len(rows), k).
         """
-        if theiler is None:
-            theiler = self.default_theiler
         rows = np.asarray(rows, dtype=int)
-        n_rows = rows.size
-        pool = min(self.n, k + 2 * max(theiler, 0) + 2)
-        tree_d, idx = self.tree.query(self.points[rows], k=pool)
-        tree_d = tree_d.reshape(n_rows, pool)
-        idx = idx.reshape(n_rows, pool)
-        adm = np.abs(self.times[idx] - self.times[rows][:, None]) > theiler
-        count = adm.sum(axis=1)
-        # Pool columns of the first k+1 admissible candidates, in tree order.
-        cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
-        if pool > k:
-            d_cut = np.take_along_axis(tree_d, cols[:, k - 1:k + 1], axis=1)
-            gap = (count > k) & (d_cut[:, 1] > d_cut[:, 0] * (1.0 + _TREE_SLACK))
-        else:
-            gap = np.zeros(n_rows, dtype=bool)
-        ok = gap | ((pool == self.n) & (count == k))
+        return self._knn(self.points[rows], self.times[rows], k, theiler)
 
-        out_idx = np.empty((n_rows, k), dtype=int)
-        out_d = np.empty((n_rows, k))
-        if ok.any():
-            cand = np.take_along_axis(idx[ok], cols[ok, :k], axis=1)
-            diff = self.points[cand] - self.points[rows[ok]][:, None, :]
-            d = np.sqrt(np.sum(diff ** 2, axis=2))
-            order = np.lexsort((cand, d))
-            out_idx[ok] = np.take_along_axis(cand, order, axis=1)
-            out_d[ok] = np.take_along_axis(d, order, axis=1)
-        for i in np.nonzero(~ok)[0]:
-            out_idx[i], out_d[i] = self.query(int(rows[i]), k, theiler)
-        return out_idx, out_d
-
-    def query_some(self, row: int, k: int, theiler: int | None = None):
-        """Like query(), but returns however many admissible rows exist (<= k)."""
-        if theiler is None:
-            theiler = self.default_theiler
-        try:
-            return self.query(row, k, theiler)
-        except InsufficientDataError:
-            idx = self._admissible(np.arange(self.n), row, theiler)
-            if idx.size == 0:
-                return idx, np.empty(0)
-            idx, d = self._order(self.points[row], idx)
-            return idx[:k], d[:k]
+    def ranked(self, point: np.ndarray, time, theiler: int | None = None):
+        """Every row admissible w.r.t. an explicit time, nearest first: the
+        candidates of searches that filter neighbors by more than distance."""
+        theiler = self._window(theiler)
+        q = np.asarray(point, dtype=float)
+        return self._order(q, np.flatnonzero(np.abs(self.times - time) > theiler))
 
     def radius_point(self, point: np.ndarray, time, eps: float,
                      theiler: int | None = None):

@@ -85,8 +85,10 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     constraint relaxes to the plain nearest admissible point.
 
     The replacement rows are fixed in advance (0, e, 2e, ...), so their
-    nearest 50 candidates come from one batched query; a row pays for a
-    per-row query with a growing pool only when none of its 50 qualifies.
+    nearest 50 candidates come from one batched query; a row scans every
+    admissible row, nearest first, only when none of its 50 qualifies.  An
+    evolved separation of length zero has no direction, so its replacement
+    only has to satisfy the length bounds.
     """
     pts = emb.points
     k_rows = emb.n_points
@@ -98,50 +100,41 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         raise ValueError("evolve_steps must be >= 1")
     index = successor_index(emb, evolve_steps)
 
-    def pick(row: int, direction: np.ndarray | None):
-        pool = 50
-        while True:
-            cand, dist = index.query_some(row, min(pool, index.n - 1), theiler)
-            fallback = None
-            for i, d in zip(cand, dist):
-                if d <= 0.0:
-                    continue
-                if fallback is None:
-                    fallback = int(i)
-                if d < min_len or d > max_len:
-                    continue
-                if direction is not None:
-                    v = pts[i] - pts[row]
-                    cosine = float(np.dot(direction, v) / (np.linalg.norm(direction) * d))
-                    if cosine < angle_tol:
-                        continue
-                return int(i)
-            if pool >= index.n - 1 or cand.size < min(pool, index.n - 1):
-                return fallback
-            pool *= 2
+    def in_bounds(dist: np.ndarray) -> np.ndarray:
+        return (dist > 0.0) & (dist >= min_len) & (dist <= max_len)
+
+    def fits(cand, dist, ok, row, direction, length) -> np.ndarray:
+        """Positions of the qualifying candidates among cand, nearest first."""
+        hit = np.flatnonzero(ok)
+        if direction is not None:
+            dots = (pts[cand] - pts[row]) @ direction
+            hit = hit[dots[hit] / (length * dist[hit]) >= angle_tol]
+        return hit
 
     rows = np.arange(0, index.n, evolve_steps)
     try:
         pools, pool_d = index.knn_many(rows, min(50, index.n - 1), theiler)
     except InsufficientDataError:
-        pools = None  # some row lacks 50 admissible rows: every pick is per-row
+        pools = None  # some row lacks 50 admissible rows: every row scans
     else:
-        length_ok = (pool_d > 0.0) & (pool_d >= min_len) & (pool_d <= max_len)
+        pool_ok = in_bounds(pool_d)
 
-    def replace(row: int, direction: np.ndarray | None):
-        if pools is None:
-            return pick(row, direction)
-        j = row // evolve_steps
-        ok = length_ok[j]
-        if direction is not None:
-            v = pts[pools[j]] - pts[row]
-            ok = ok & (v @ direction / (np.linalg.norm(direction) * pool_d[j])
-                       >= angle_tol)
-        hit = np.flatnonzero(ok)
-        return int(pools[j, hit[0]]) if hit.size else pick(row, direction)
+    def replace(row: int, direction: np.ndarray | None, length: float):
+        if length == 0.0:
+            direction = None  # a collapsed separation keeps no direction
+        if pools is not None:
+            j = row // evolve_steps
+            hit = fits(pools[j], pool_d[j], pool_ok[j], row, direction, length)
+            if hit.size:
+                return int(pools[j, hit[0]])
+        cand, dist = index.ranked(pts[row], index.times[row], theiler)
+        hit = fits(cand, dist, in_bounds(dist), row, direction, length)
+        if hit.size == 0:
+            hit = np.flatnonzero(dist > 0.0)  # relax to the nearest distinct row
+        return int(cand[hit[0]]) if hit.size else None
 
     c = 0
-    n = replace(c, None)
+    n = replace(c, None, 0.0)
     if n is None:
         raise InsufficientDataError("no admissible starting neighbor")
     log_sum = 0.0
@@ -151,7 +144,8 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         l_start = float(np.linalg.norm(pts[n] - pts[c]))
         c2 = c + evolve_steps
         n2 = n + evolve_steps
-        l_end = float(np.linalg.norm(pts[n2] - pts[c2]))
+        separation = pts[n2] - pts[c2]
+        l_end = float(np.linalg.norm(separation))
         if l_start > 0.0 and l_end > 0.0:
             log_sum += np.log(l_end / l_start)
             segments += 1
@@ -159,7 +153,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         c = c2
         if c + evolve_steps > k_rows - 1 or c >= index.n:
             break
-        n = replace(c, pts[n2] - pts[c])
+        n = replace(c, separation, l_end)
         if n is None:
             break
     if segments < 10:

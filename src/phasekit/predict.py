@@ -133,21 +133,15 @@ def build_tableau(emb: DelayEmbedding, row: int, r: int, k: int,
         theiler = emb.default_theiler()
 
     index = index or NeighborIndex(emb)
+    cand, dist = index.ranked(emb.points[row], emb.times[row], theiler)
+    # Baseline admissibility: k-step history and a one-step successor,
+    # plus whatever offsets the mask actually populates.
+    ok = (cand - k >= 0) & (cand + 1 <= emb.n_points - 1)
+    for off in nbr_offsets:
+        ok &= (cand + off >= 0) & (cand + off <= emb.n_points - 1)
+    good = cand[ok]
+    good_d = dist[ok]
     need = 2 * r
-    pool = need + 2 * (2 * theiler + 1) + 8
-    while True:
-        kk = min(pool, emb.n_points - 1)
-        cand, dist = index.query_some(row, kk, theiler)
-        # Baseline admissibility: k-step history and a one-step successor,
-        # plus whatever offsets the mask actually populates.
-        ok = (cand - k >= 0) & (cand + 1 <= emb.n_points - 1)
-        for off in nbr_offsets:
-            ok &= (cand + off >= 0) & (cand + off <= emb.n_points - 1)
-        good = cand[ok]
-        good_d = dist[ok]
-        if good.size >= need or kk >= emb.n_points - 1:
-            break
-        pool *= 2
     if good.size < need:
         raise InsufficientDataError(
             f"only {good.size} admissible neighbors; achievable r = {good.size // 2}")
@@ -176,7 +170,7 @@ def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,
     m5 reads model_errors (most recent last); missing depth yields 0 with a
     ColdStartWarning.
     """
-    y = series.values[:, channel]
+    y = series.column(channel)
     time = int(emb.times[row])
     out: list = []
     for method, lags in spec:
@@ -259,7 +253,7 @@ def fit_predictor(series: TimeSeries, emb: DelayEmbedding, rows, spec,
     index = index or NeighborIndex(emb)
     feats = []
     targets = []
-    y = series.values[:, channel]
+    y = series.column(channel)
     n = series.n_samples
     for row in rows:
         t = int(emb.times[row])
@@ -291,7 +285,7 @@ def e_psi(model: PredictorModel, series: TimeSeries, emb: DelayEmbedding,
     if theiler is None:
         theiler = emb.default_theiler()
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row], k, theiler)
-    y = series.values[:, channel]
+    y = series.column(channel)
     total = 0.0
     for nbr in nbrs:
         pred = model.predict(series, emb, int(nbr), index=sub,
@@ -480,7 +474,7 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
     feats = list(features)
     if not feats:
         raise ConfigError("no feature transforms given")
-    y = series.values[:, channel]
+    y = series.column(channel)
     n = y.size
     cache = {}
     for fi, f in enumerate(feats):

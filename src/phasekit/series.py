@@ -50,9 +50,17 @@ class TimeSeries:
     def n_channels(self) -> int:
         return self.values.shape[1]
 
+    def column(self, index: int) -> np.ndarray:
+        """One channel's samples; an index outside the channels is a ValueError."""
+        if not 0 <= index < self.n_channels:
+            raise ValueError(f"channel {index} is out of range; the series has "
+                             f"channels 0 to {self.n_channels - 1}")
+        return self.values[:, index]
+
     def channel(self, index: int) -> "TimeSeries":
         """Single-channel view as a new series."""
-        return TimeSeries(self.values[:, [index]], self.dt, (self.names[index],))
+        return TimeSeries(self.column(index)[:, None].copy(), self.dt,
+                          (self.names[index],))
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt

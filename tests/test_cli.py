@@ -69,6 +69,29 @@ def test_bad_value_is_usage_error(workdir, capsys):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("predict", "--n-neighbors", "-3"), "k must be >= 1"),
+    (("dimension", "--theiler", "-4"), "theiler must be >= 0"),
+    (("lyapunov", "--method", "rosenstein", "--theiler", "-1"),
+     "theiler must be >= 0"),
+])
+def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, message):
+    name = make_series(capsys, 300)
+    rc, out, err = run(capsys, argv[0], "--input", name, "--m", "2", "--tau", "1",
+                       *argv[1:])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [("mi",), ("embed", "--m", "2", "--tau", "1")])
+def test_out_of_range_channel_is_usage_error(workdir, capsys, argv):
+    name = make_series(capsys, 300)
+    rc, out, err = run(capsys, argv[0], "--input", name, "--channel", "5", *argv[1:])
+    assert rc == 2 and out == ""
+    assert err == "usage error: channel 5 is out of range; the series has " \
+                  "channels 0 to 1\n"
+
+
 def test_lyapunov_fit_range_outside_curve_exits_1(workdir, capsys):
     name = make_series(capsys, 1500)
     rc, _, err = run(capsys, "lyapunov", "--input", name, "--channel", "0",

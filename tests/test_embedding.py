@@ -159,8 +159,12 @@ def test_knn_matches_brute_force(seed, k, theiler):
 
 def _brute_knn(pts, times, row, k, theiler):
     """(distance, row index) order over every admissible row, first k."""
-    adm = np.flatnonzero(np.abs(times - times[row]) > theiler)
-    d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
+    return _brute_knn_point(pts, times, pts[row], times[row], k, theiler)
+
+
+def _brute_knn_point(pts, times, q, t, k, theiler):
+    adm = np.flatnonzero(np.abs(times - t) > theiler)
+    d = np.sqrt(np.sum((pts[adm] - q) ** 2, axis=1))
     order = np.lexsort((adm, d))
     return adm[order][:k], d[order][:k]
 
@@ -201,6 +205,69 @@ def test_knn_many_rows_short_of_admissible_neighbors():
         line.knn_many(np.arange(10), 4)
     idx, _ = line.knn_many([0, 9], 4)
     np.testing.assert_array_equal(idx, [[4, 5, 6, 7], [5, 4, 3, 2]])
+
+
+def _rounded_henon_embedding(n, decimals):
+    values = pk.sample(pk.catalog("henon"), n)
+    return pk.embed(pk.TimeSeries(np.round(values[:, 0], decimals)), 2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_knn_on_rounded_henon_matches_brute_force(k):
+    # Two decimals leave about 300 distinct values for 1500 rows: ties at the
+    # k-th distance are common, and many rows sit at distance zero.
+    emb = _rounded_henon_embedding(1500, 2)
+    index = pk.NeighborIndex(emb)
+    theiler = emb.default_theiler()
+    idx, dist = index.knn_many(np.arange(emb.n_points), k)
+    for r in range(emb.n_points):
+        want_idx, want_d = _brute_knn(emb.points, emb.times, r, k, theiler)
+        np.testing.assert_array_equal(idx[r], want_idx)
+        np.testing.assert_array_equal(dist[r], want_d)
+    for r in range(0, emb.n_points, 7):
+        q_idx, q_d = index.query(r, k)
+        np.testing.assert_array_equal(q_idx, idx[r])
+        np.testing.assert_array_equal(q_d, dist[r])
+
+
+@pytest.mark.parametrize("values", [np.tile(np.arange(4.0), 15),
+                                    np.round(pk.sample(pk.catalog("henon"), 300)[:, 0], 1)])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_query_point_outside_the_index_matches_brute_force(values, k):
+    # The successor index leaves out the last rows, whose neighbors predict
+    # and e_psi look up; on these series their k-th distance is tied.
+    emb = pk.embed(pk.TimeSeries(values), 2, 1)
+    sub = pk.successor_index(emb, 3)
+    theiler = emb.default_theiler()
+    for row in range(sub.n - 2, emb.n_points):
+        idx, dist = sub.query_point(emb.points[row], emb.times[row], k, theiler)
+        want_idx, want_d = _brute_knn_point(sub.points, sub.times, emb.points[row],
+                                            emb.times[row], k, theiler)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_d)
+
+
+def test_knn_rejects_bad_k_and_window():
+    index = pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        index.knn_many(np.arange(10), 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        index.query_point([2.5], 20, -3)
+    with pytest.raises(ValueError, match="theiler must be >= 0"):
+        index.query(4, 2, theiler=-1)
+    with pytest.raises(ValueError, match="theiler must be >= 0"):
+        pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=-2).knn_many([0], 1)
+    with pytest.raises(ValueError, match="theiler must be >= 0"):
+        index.ranked([2.5], 20, theiler=-4)
+
+
+def test_ranked_lists_every_admissible_row_nearest_first():
+    pts = np.array([[0.0], [3.0], [1.0], [1.0], [-1.0], [0.5]])
+    index = pk.NeighborIndex(pts, default_theiler=1)
+    idx, dist = index.ranked(pts[0], 0)
+    np.testing.assert_array_equal(idx, [5, 2, 3, 4])  # row 1 is in the window
+    np.testing.assert_array_equal(dist, [0.5, 1.0, 1.0, 1.0])
+    assert index.ranked(pts[0], 0, theiler=9)[0].size == 0
 
 
 def test_successor_index_reserves_future_rows():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,87 @@ def test_wolf_needs_neighbors():
     emb = pk.embed(pk.TimeSeries(np.arange(5.0)), 2, 1)
     with pytest.raises(pk.InsufficientDataError):
         pk.wolf_lambda1(emb)
+
+
+def _wolf_reference(emb, angle_tol, evolve_steps=1):
+    """wolf_lambda1 with every replacement chosen by a plain scan of all rows.
+
+    Candidates go nearest first in (distance, row) order; the first one of
+    nonzero length within max_len whose direction cosine reaches angle_tol
+    wins, else the nearest of nonzero length.  A zero evolved separation
+    constrains no direction.
+    """
+    pts = emb.points
+    theiler = emb.default_theiler()
+    max_len = 0.1 * pk.data_diameter(pts)
+    times = emb.times[:emb.n_points - evolve_steps]
+
+    def replace(row, direction):
+        adm = np.flatnonzero(np.abs(times - times[row]) > theiler)
+        d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
+        order = np.lexsort((adm, d))
+        fallback = None
+        for i, dist in zip(adm[order], d[order]):
+            if dist <= 0.0:
+                continue
+            if fallback is None:
+                fallback = int(i)
+            if dist > max_len:
+                continue
+            length = 0.0 if direction is None else np.linalg.norm(direction)
+            if length > 0.0 and (np.dot(pts[i] - pts[row], direction)
+                                 / (length * dist)) < angle_tol:
+                continue
+            return int(i)
+        return fallback
+
+    c, n = 0, replace(0, None)
+    log_sum, total = 0.0, 0
+    while c + evolve_steps <= emb.n_points - 1:
+        l_start = np.linalg.norm(pts[n] - pts[c])
+        c += evolve_steps
+        n += evolve_steps
+        l_end = np.linalg.norm(pts[n] - pts[c])
+        if l_start > 0.0 and l_end > 0.0:
+            log_sum += np.log(l_end / l_start)
+            total += evolve_steps
+        if c + evolve_steps > emb.n_points - 1 or c >= times.size:
+            break
+        n = replace(c, pts[n] - pts[c])
+    return log_sum / total, total // evolve_steps
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_wolf_replacement_scan_matches_brute_force(monkeypatch, decimals):
+    # i.i.d. noise in 3-D: a cosine of 0.999 needs a direction within 2.6
+    # degrees, which for most rows none of the 50 nearest candidates has, so
+    # most replacements come from the full scan.  Rounding repeats points.
+    y = np.random.default_rng(5).uniform(size=400)
+    if decimals is not None:
+        y = np.round(y, decimals)
+    emb = pk.embed(pk.TimeSeries(y), 3, 1)
+    scans = []
+    ranked = pk.NeighborIndex.ranked
+    monkeypatch.setattr(pk.NeighborIndex, "ranked",
+                        lambda self, *a: scans.append(1) or ranked(self, *a))
+    res = pk.wolf_lambda1(emb, angle_tol=0.999)
+    assert len(scans) > res.segments // 2
+    want, segments = _wolf_reference(emb, 0.999)
+    assert res.segments == segments
+    assert res.lambda1 == pytest.approx(want, rel=1e-12)
+
+
+def test_wolf_on_repeated_points_warns_nothing():
+    # Rounded to 2 decimals, many evolved separations and candidate distances
+    # are exactly zero.
+    values = pk.sample(pk.catalog("henon"), 2000)
+    emb = pk.embed(pk.TimeSeries(np.round(values[:, 0], 2)), 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = pk.wolf_lambda1(emb)
+    want, segments = _wolf_reference(emb, 0.9)
+    assert res.segments == segments
+    assert res.lambda1 == pytest.approx(want, rel=1e-12)
 
 
 def test_rosenstein_henon(henon_emb):

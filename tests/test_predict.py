@@ -83,6 +83,34 @@ def test_build_tableau_end_of_series_neighbors():
     assert tab.neighbor_rows == (27, 26)
 
 
+def _brute_tableau_rows(emb, row, r, k, mask):
+    """First 2r rows, in (distance, row) order, outside the Theiler window
+    whose k-step history, successor and populated offsets all exist."""
+    offsets = k - np.arange(2 * k + 1)
+    nbr_offsets = offsets[np.delete(mask, r, axis=0).any(axis=0)]
+    last = emb.n_points - 1
+    adm = np.flatnonzero(np.abs(emb.times - emb.times[row]) > emb.default_theiler())
+    d = np.sqrt(np.sum((emb.points[adm] - emb.points[row]) ** 2, axis=1))
+    keep = [int(i) for i in adm[np.lexsort((adm, d))]
+            if i - k >= 0 and i + 1 <= last
+            and all(0 <= i + off <= last for off in nbr_offsets)]
+    return tuple(keep[:2 * r])
+
+
+@pytest.mark.parametrize("layout", ["global", "local_next", "local_with_current"])
+@pytest.mark.parametrize("row", [3, 20, 38])
+def test_build_tableau_offset_filter_at_the_series_edges(layout, row):
+    # A period-5 sawtooth: each row's nearest rows are its exact repeats,
+    # including rows 0-2 and 39, whose offsets fall outside the data.
+    emb = line_embedding(np.tile(np.arange(5.0), 8))
+    r, k = 3, 2
+    tab = pk.build_tableau(emb, row, r=r, k=k, layout=layout)
+    assert tab.neighbor_rows == _brute_tableau_rows(emb, row, r, k,
+                                                    layout_mask(layout, r, k))
+    if row == 20:
+        assert tab.neighbor_rows == (5, 10, 15, 25, 30, 35)  # row 0 discarded
+
+
 def test_build_tableau_synthetic_masks():
     emb = line_embedding(np.arange(30.0))
     mask = layout_mask("local_next", 1, 1)
