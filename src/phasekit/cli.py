@@ -116,6 +116,15 @@ def _load_embedding(args):
     return series, embed(series, args.m, args.tau)
 
 
+def _theiler(args, emb) -> int:
+    """--theiler, or the embedding's own window; checked on every route, so
+    one that applies no window (box counting) rejects a negative one too."""
+    theiler = emb.default_theiler() if args.theiler is None else args.theiler
+    if theiler < 0:
+        raise ValueError(f"theiler must be >= 0, got {theiler}")
+    return theiler
+
+
 def _fit_range(args):
     lo = getattr(args, "fit_lo", None)
     hi = getattr(args, "fit_hi", None)
@@ -183,7 +192,7 @@ def cmd_embed(args) -> dict:
 
 def cmd_dimension(args) -> dict:
     series, emb = _load_embedding(args)
-    theiler = emb.default_theiler() if args.theiler is None else args.theiler
+    theiler = _theiler(args, emb)
     fit_range = _fit_range(args)
     if args.q == 2.0:
         curve = dim.correlation_integral(emb, theiler=theiler)
@@ -209,7 +218,7 @@ def cmd_dimension(args) -> dict:
 
 def cmd_lyapunov(args) -> dict:
     series, emb = _load_embedding(args)
-    theiler = emb.default_theiler() if args.theiler is None else args.theiler
+    theiler = _theiler(args, emb)
     eps0 = args.eps0
     payload = {"command": "lyapunov", "method": args.method}
 
@@ -279,7 +288,7 @@ def cmd_identify(args) -> dict:
 
 def cmd_predict(args) -> dict:
     series, emb = _load_embedding(args)
-    theiler = emb.default_theiler() if args.theiler is None else args.theiler
+    theiler = _theiler(args, emb)
     sub = prd.successor_index(emb)
     row = emb.n_points - 1
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row],

@@ -21,6 +21,10 @@ from .series import TimeSeries
 # are always recomputed with plain numpy so ordering matches a linear scan.
 _TREE_SLACK = 1e-9
 
+# numpy sums an axis of at least this many terms pairwise, unrolled by 8, and
+# a shorter one left to right.
+_PAIRWISE_WIDTH = 8
+
 
 @dataclass(frozen=True)
 class MIProfile:
@@ -147,6 +151,22 @@ def embedding_to_series(emb: DelayEmbedding) -> TimeSeries:
     return TimeSeries(emb.points, emb.dt, tuple(names))
 
 
+def row_distances(points: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances from points[rows] to q, with q broadcast against
+    rows.shape + (width,).  Bit-equal to np.sqrt(np.sum((points[rows] - q)
+    ** 2, axis=-1)): below 8 coordinates that sum runs left to right, so it
+    is done one coordinate at a time, which is faster on short rows."""
+    sq = points.take(rows, axis=0)
+    sq -= q
+    sq *= sq
+    if sq.shape[-1] >= _PAIRWISE_WIDTH:
+        return np.sqrt(np.sum(sq, axis=-1))
+    total = sq[..., 0].copy()
+    for j in range(1, sq.shape[-1]):
+        total += sq[..., j]
+    return np.sqrt(total, out=total)
+
+
 class NeighborIndex:
     """k-d tree over embedding rows with temporal (Theiler) exclusion.
 
@@ -160,14 +180,16 @@ class NeighborIndex:
     in tree order, and finishes each point in one of three ways:
     - the cut is clear: the pool holds a (k+1)-th admissible row farther than
       the k-th by more than the tree slack, or it covers every row and holds
-      exactly k admissible ones.  The first k admissible rows, re-sorted by
-      (numpy distance, row index), are the answer;
+      exactly k admissible ones.  The first k admissible rows in (numpy
+      distance, row index) order are the answer.  Tree order mostly is that
+      order already, so only the points where it is not are re-sorted;
     - a tie at the cut: the pool holds k admissible rows but the cut is not
       clear.  radius_point at the k-th numpy distance returns every
       admissible row that could rank, and its first k are the answer;
     - the pool holds fewer than k admissible rows: ranked scans every row.
       With distinct times a window excludes at most 2*theiler + 1 rows, so
       this happens only when times repeat or the pool covers every row.
+    Every distance comes from row_distances, bit-equal to a brute-force scan.
     A point with fewer than k admissible rows in all raises
     InsufficientDataError; k < 1 or theiler < 0 raise ValueError.
 
@@ -199,7 +221,7 @@ class NeighborIndex:
         return theiler
 
     def _order(self, query_point: np.ndarray, indices: np.ndarray):
-        d = np.sqrt(np.sum((self.points[indices] - query_point) ** 2, axis=1))
+        d = row_distances(self.points, indices, query_point)
         order = np.lexsort((indices, d))
         return indices[order], d[order]
 
@@ -228,11 +250,16 @@ class NeighborIndex:
         full = count >= k
         if full.any():
             cand = np.take_along_axis(idx[full], cols[full, :k], axis=1)
-            diff = self.points[cand] - points[full][:, None, :]
-            d = np.sqrt(np.sum(diff ** 2, axis=2))
-            order = np.lexsort((cand, d))
-            out_idx[full] = np.take_along_axis(cand, order, axis=1)
-            out_d[full] = np.take_along_axis(d, order, axis=1)
+            d = row_distances(self.points, cand, points[full][:, None, :])
+            # Only rows whose tree order is not (distance, row) order re-sort.
+            step_d, step_i = np.diff(d, axis=1), np.diff(cand, axis=1)
+            unsorted = np.flatnonzero(((step_d < 0) | ((step_d == 0) & (step_i < 0)))
+                                      .any(axis=1))
+            if unsorted.size:
+                order = np.lexsort((cand[unsorted], d[unsorted]))
+                cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
+                d[unsorted] = np.take_along_axis(d[unsorted], order, axis=1)
+            out_idx[full], out_d[full] = cand, d
         for i in np.flatnonzero(full & ~clear):
             ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1], theiler)
             out_idx[i], out_d[i] = ball[:k], ball_d[:k]
@@ -274,8 +301,7 @@ class NeighborIndex:
     def radius_point(self, point: np.ndarray, time, eps: float,
                      theiler: int | None = None):
         """All rows within eps (inclusive) admissible w.r.t. an explicit time."""
-        if theiler is None:
-            theiler = self.default_theiler
+        theiler = self._window(theiler)
         q = np.asarray(point, dtype=float)
         idx = np.asarray(self.tree.query_ball_point(q, eps * (1.0 + _TREE_SLACK)),
                          dtype=int)

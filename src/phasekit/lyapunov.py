@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .dimensions import data_diameter
-from .embedding import DelayEmbedding, successor_index
+from .embedding import DelayEmbedding, row_distances, successor_index
 from .errors import (ConfigError, DegenerateDataError, DivergenceError,
                      InsufficientDataError, ScalingRegionError)
 from .fitting import fit_scaling_region, fit_slope
@@ -89,6 +89,13 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     admissible row, nearest first, only when none of its 50 qualifies.  An
     evolved separation of length zero has no direction, so its replacement
     only has to satisfy the length bounds.
+
+    The walk runs on Python floats: lengths are math.dist of the rows, and a
+    row's 50 candidates are tried one by one until the first fits.  Direction
+    cosines add one coordinate product at a time, in the candidate walk and
+    in the numpy scan alike, so both pick the same row.  numpy's norm and dot
+    fuse multiply-adds, so lambda1 can differ from a numpy walk in the last
+    bits (relative 1e-12 at most on the tested inputs); segments do not.
     """
     pts = emb.points
     k_rows = emb.n_points
@@ -99,39 +106,52 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     if evolve_steps < 1:
         raise ValueError("evolve_steps must be >= 1")
     index = successor_index(emb, evolve_steps)
+    rows = pts.tolist()
 
-    def in_bounds(dist: np.ndarray) -> np.ndarray:
-        return (dist > 0.0) & (dist >= min_len) & (dist <= max_len)
+    def first_fit(cand, dist, here, direction, length):
+        """The nearest candidate that fits, walked on Python floats."""
+        for i, d in zip(cand, dist):
+            if not (d > 0.0 and min_len <= d <= max_len):
+                continue
+            if direction is None:
+                return i
+            dot = 0.0
+            for a, b, u in zip(rows[i], here, direction):
+                dot += (a - b) * u
+            if dot / (length * d) >= angle_tol:
+                return i
+        return None
 
-    def fits(cand, dist, ok, row, direction, length) -> np.ndarray:
-        """Positions of the qualifying candidates among cand, nearest first."""
-        hit = np.flatnonzero(ok)
+    def scan(row: int, direction, length):
+        """Every admissible row in numpy, for a row none of whose pool fits."""
+        cand, dist = index.ranked(pts[row], index.times[row], theiler)
+        hit = np.flatnonzero((dist > 0.0) & (dist >= min_len) & (dist <= max_len))
         if direction is not None:
-            dots = (pts[cand] - pts[row]) @ direction
-            hit = hit[dots[hit] / (length * dist[hit]) >= angle_tol]
-        return hit
+            near, here = cand[hit], rows[row]
+            dot = (pts[near, 0] - here[0]) * direction[0]
+            for j in range(1, len(direction)):
+                dot += (pts[near, j] - here[j]) * direction[j]
+            hit = hit[dot / (length * dist[hit]) >= angle_tol]
+        if hit.size == 0:
+            hit = np.flatnonzero(dist > 0.0)  # relax to the nearest distinct row
+        return int(cand[hit[0]]) if hit.size else None
 
-    rows = np.arange(0, index.n, evolve_steps)
+    starts = np.arange(0, index.n, evolve_steps)
     try:
-        pools, pool_d = index.knn_many(rows, min(50, index.n - 1), theiler)
+        pools, pool_d = index.knn_many(starts, min(50, index.n - 1), theiler)
     except InsufficientDataError:
         pools = None  # some row lacks 50 admissible rows: every row scans
-    else:
-        pool_ok = in_bounds(pool_d)
 
-    def replace(row: int, direction: np.ndarray | None, length: float):
+    def replace(row: int, direction: list | None, length: float):
         if length == 0.0:
             direction = None  # a collapsed separation keeps no direction
         if pools is not None:
             j = row // evolve_steps
-            hit = fits(pools[j], pool_d[j], pool_ok[j], row, direction, length)
-            if hit.size:
-                return int(pools[j, hit[0]])
-        cand, dist = index.ranked(pts[row], index.times[row], theiler)
-        hit = fits(cand, dist, in_bounds(dist), row, direction, length)
-        if hit.size == 0:
-            hit = np.flatnonzero(dist > 0.0)  # relax to the nearest distinct row
-        return int(cand[hit[0]]) if hit.size else None
+            hit = first_fit(pools[j].tolist(), pool_d[j].tolist(), rows[row],
+                            direction, length)
+            if hit is not None:
+                return hit
+        return scan(row, direction, length)
 
     c = 0
     n = replace(c, None, 0.0)
@@ -141,19 +161,18 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     segments = 0
     total = 0
     while c + evolve_steps <= k_rows - 1:
-        l_start = float(np.linalg.norm(pts[n] - pts[c]))
+        l_start = math.dist(rows[n], rows[c])
         c2 = c + evolve_steps
         n2 = n + evolve_steps
-        separation = pts[n2] - pts[c2]
-        l_end = float(np.linalg.norm(separation))
+        l_end = math.dist(rows[n2], rows[c2])
         if l_start > 0.0 and l_end > 0.0:
-            log_sum += np.log(l_end / l_start)
+            log_sum += math.log(l_end / l_start)
             segments += 1
             total += evolve_steps
         c = c2
         if c + evolve_steps > k_rows - 1 or c >= index.n:
             break
-        n = replace(c, separation, l_end)
+        n = replace(c, [a - b for a, b in zip(rows[n2], rows[c2])], l_end)
         if n is None:
             break
     if segments < 10:
@@ -199,6 +218,11 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
     return DivergenceCurve(offsets, values, refs.size, emb.dt, "rosenstein")
 
 
+# Floats of the largest (references, widest ball, offsets, width) displacement
+# block kantz_curve builds at once.
+_KANTZ_BLOCK = 1 << 18
+
+
 def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
                 theiler: int | None = None,
                 n_refs: int | None = 1000) -> DivergenceCurve:
@@ -207,6 +231,12 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     Reference points whose eps0 ball holds no admissible neighbor are skipped;
     if every ball is empty the call fails asking for a larger eps0.  n_refs
     caps the number of (evenly spaced) reference points; None uses all.
+
+    Each reference gets one radius query.  The averages then run in blocks
+    of references with balls of similar size, each ball zero-padded to the
+    block's widest with copies of its reference (which add exact zeros), so
+    every sum keeps the neighbor order of a per-reference loop and the curve
+    is bit-equal to one.  The logs are summed in reference order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -225,22 +255,37 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     else:
         refs = np.unique(np.linspace(0, n_eligible - 1, n_refs).astype(int))
 
-    offsets = np.arange(horizon + 1)
-    sums = np.zeros(horizon + 1)
-    used = 0
-    for r in refs:
-        nbrs, d = index.radius(int(r), eps0, theiler)
+    kept, balls = [], []
+    for r in refs.tolist():
+        nbrs, d = index.radius(r, eps0, theiler)
         nbrs = nbrs[d > 0.0]
-        if nbrs.size == 0:
-            continue
-        # (neighbors, offsets, width) displacement block for this reference
-        diff = pts[nbrs[:, None] + offsets[None, :]] - pts[r + offsets][None, :, :]
-        mean_d = np.sqrt(np.sum(diff ** 2, axis=2)).mean(axis=0)
-        sums += np.log(mean_d)
-        used += 1
-    if used == 0:
+        if nbrs.size:
+            kept.append(r)
+            balls.append(nbrs)
+    if not kept:
         raise ConfigError("every eps0 neighborhood is empty; increase eps0")
-    return DivergenceCurve(offsets, sums / used, used, emb.dt, "kantz", eps0=eps0)
+    used = np.array(kept)
+    sizes = np.array([b.size for b in balls])
+    offsets = np.arange(horizon + 1)
+    log_means = np.empty((used.size, offsets.size))
+    by_size = np.argsort(sizes, kind="stable")
+    per_nbr = offsets.size * emb.width
+    start = 0
+    while start < used.size:
+        # Grow the block while (references x widest ball) fits the budget.
+        block = np.arange(1, used.size - start + 1) * sizes[by_size[start:]] * per_nbr
+        stop = start + max(1, int(np.searchsorted(block, _KANTZ_BLOCK, side="right")))
+        sel = by_size[start:stop]
+        ref = used[sel]
+        nbrs = np.repeat(ref[:, None], sizes[sel[-1]], axis=1)
+        nbrs[np.arange(nbrs.shape[1]) < sizes[sel][:, None]] = \
+            np.concatenate([balls[i] for i in sel])
+        here = pts[ref[:, None] + offsets][:, None]     # (refs, 1, offsets, width)
+        dist = row_distances(pts, nbrs[:, :, None] + offsets, here)
+        log_means[sel] = np.log(dist.sum(axis=1) / sizes[sel][:, None])
+        start = stop
+    return DivergenceCurve(offsets, log_means.sum(axis=0) / used.size, used.size,
+                           emb.dt, "kantz", eps0=eps0)
 
 
 def divergence_rate(curve: DivergenceCurve, fit_range: tuple | None = None,

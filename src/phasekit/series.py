@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,47 +75,34 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
-                       header: bool | None = None):
-    """Parse a numeric table with an optional single header line.
+def _cells(line: str, delim: str | None) -> list:
+    if delim is None:  # whitespace mode: str.split(None) collapses whitespace runs
+        return line.split()
+    return [c.strip() for c in line.split(delim)]
 
-    Cells are comma or whitespace separated; delimiter None sniffs the first
-    non-blank line (comma wins when present).  header None detects a header
-    by whether the first row parses as numbers; True or False forces it.
-    Returns (data, names) where names is () without a header.  Raises
-    FormatError naming the offending 1-based file line and column on
-    malformed input, InsufficientDataError below min_rows data rows.
+
+def _loadtxt(lines: list, delim: str | None, n_cols: int) -> np.ndarray | None:
+    """The data lines parsed by np.loadtxt, or None where it raises, warns or
+    finds other than n_cols columns in every line.
+
+    What loadtxt accepts, float() reads to the same value; some tokens that
+    float() accepts (digit underscores, non-ASCII digits) it rejects.  None
+    leaves such tables, and malformed ones, to _parse_cells.
     """
-    lines = Path(path).read_text().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip() != ""]
-    if not rows:
-        raise InsufficientDataError(f"{path}: empty file")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=2)
+    except (ValueError, TypeError, Warning):  # TypeError: a multi-character delimiter
+        return None
+    return data if data.shape == (len(lines), n_cols) else None
 
-    if delimiter is None:
-        delimiter = "," if "," in rows[0][1] else ""
-    # "" selects whitespace mode: str.split(None) collapses whitespace runs.
-    delim = delimiter or None
 
-    def cells_of(line: str) -> list:
-        if delim is None:
-            return line.split()
-        return [c.strip() for c in line.split(delim)]
-
-    first_cells = cells_of(rows[0][1])
-    names: tuple = ()
-    is_header = (header if header is not None
-                 else not all(_is_float(c) for c in first_cells))
-    if is_header:
-        names = tuple(first_cells)
-        rows = rows[1:]
-
-    if len(rows) < min_rows:
-        raise InsufficientDataError(f"{path}: fewer than {min_rows} data rows")
-
-    n_cols = len(cells_of(rows[0][1]))
+def _parse_cells(path, rows: list, delim: str | None, n_cols: int) -> np.ndarray:
+    """The (line number, line) rows parsed cell by cell with float()."""
     data = np.empty((len(rows), n_cols))
     for r, (lineno, line) in enumerate(rows):
-        cells = cells_of(line)
+        cells = _cells(line, delim)
         if len(cells) != n_cols:
             raise FormatError(
                 f"{path}: line {lineno} has {len(cells)} columns, expected {n_cols}")
@@ -125,6 +113,47 @@ def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
                 raise FormatError(
                     f"{path}: non-numeric cell at line {lineno}, column {c + 1}"
                 ) from None
+    return data
+
+
+def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
+                       header: bool | None = None):
+    """Parse a numeric table with an optional single header line.
+
+    Cells are comma or whitespace separated; delimiter None sniffs the first
+    non-blank line (comma wins when present).  header None detects a header
+    by whether the first row parses as numbers; True or False forces it.
+    Returns (data, names) where names is () without a header.  Raises
+    FormatError naming the offending 1-based file line and column on
+    malformed input, InsufficientDataError below min_rows data rows.
+
+    The data lines go to np.loadtxt first, and to a cell-by-cell float()
+    parse, which names the bad line, when loadtxt rejects them.
+    """
+    lines = Path(path).read_text().splitlines()
+    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip() != ""]
+    if not rows:
+        raise InsufficientDataError(f"{path}: empty file")
+
+    if delimiter is None:
+        delimiter = "," if "," in rows[0][1] else ""
+    delim = delimiter or None  # "" selects whitespace mode
+
+    first_cells = _cells(rows[0][1], delim)
+    names: tuple = ()
+    is_header = (header if header is not None
+                 else not all(_is_float(c) for c in first_cells))
+    if is_header:
+        names = tuple(first_cells)
+        rows = rows[1:]
+
+    if len(rows) < min_rows:
+        raise InsufficientDataError(f"{path}: fewer than {min_rows} data rows")
+
+    n_cols = len(_cells(rows[0][1], delim))
+    data = _loadtxt([line for _, line in rows], delim, n_cols)
+    if data is None:
+        data = _parse_cells(path, rows, delim, n_cols)
     return data, names
 
 

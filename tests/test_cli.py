@@ -74,6 +74,9 @@ def test_bad_value_is_usage_error(workdir, capsys):
     (("dimension", "--theiler", "-4"), "theiler must be >= 0"),
     (("lyapunov", "--method", "rosenstein", "--theiler", "-1"),
      "theiler must be >= 0"),
+    # Box counting applies no window, but a negative one is still an error.
+    (("dimension", "--q", "0", "--theiler", "-4"), "theiler must be >= 0"),
+    (("lyapunov", "--method", "kantz", "--theiler", "-1"), "theiler must be >= 0"),
 ])
 def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, message):
     name = make_series(capsys, 300)

@@ -207,6 +207,33 @@ def test_knn_many_rows_short_of_admissible_neighbors():
     np.testing.assert_array_equal(idx, [[4, 5, 6, 7], [5, 4, 3, 2]])
 
 
+def test_knn_many_resorts_rows_out_of_tree_order():
+    # Every point appears three times, shuffled: the tree lists tied copies
+    # in its own order, which the finish must put back into row order.
+    rng = np.random.default_rng(3)
+    pts = np.repeat(rng.normal(size=(60, 2)), 3, axis=0)[rng.permutation(180)]
+    index = pk.NeighborIndex(pts, default_theiler=0)
+    _, tree_idx = index.tree.query(pts, k=6)
+    assert any(np.any(np.diff(r[1:]) < 0) for r in tree_idx)  # tied rows out of order
+    idx, dist = index.knn_many(np.arange(180), 5)
+    for r in range(180):
+        want_idx, want_d = _brute_knn(pts, np.arange(180), r, 5, 0)
+        np.testing.assert_array_equal(idx[r], want_idx)
+        np.testing.assert_array_equal(dist[r], want_d)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_knn_many_matches_brute_force_at_eight_coordinates(m):
+    # From 8 coordinates numpy's sum is pairwise, not left to right; the
+    # distances must still equal a brute-force np.sum bit for bit.
+    emb = pk.embed(pk.TimeSeries(pk.sample(pk.catalog("henon"), 500)[:, 0]), m, 1)
+    idx, dist = pk.NeighborIndex(emb).knn_many(np.arange(emb.n_points), 4)
+    for r in range(emb.n_points):
+        want_idx, want_d = _brute_knn(emb.points, emb.times, r, 4, emb.default_theiler())
+        np.testing.assert_array_equal(idx[r], want_idx)
+        np.testing.assert_array_equal(dist[r], want_d)
+
+
 def _rounded_henon_embedding(n, decimals):
     values = pk.sample(pk.catalog("henon"), n)
     return pk.embed(pk.TimeSeries(np.round(values[:, 0], decimals)), 2, 1)

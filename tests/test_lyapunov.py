@@ -175,6 +175,16 @@ def test_wolf_on_repeated_points_warns_nothing():
     assert res.lambda1 == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("m, evolve_steps", [(2, 1), (3, 1), (5, 1), (2, 3), (5, 3)])
+def test_wolf_float_walk_matches_brute_force(m, evolve_steps):
+    values = pk.sample(pk.catalog("henon"), 1500)
+    emb = pk.embed(pk.TimeSeries(values[:, 0]), m, 1)
+    res = pk.wolf_lambda1(emb, evolve_steps=evolve_steps)
+    want, segments = _wolf_reference(emb, 0.9, evolve_steps)
+    assert res.segments == segments
+    assert res.lambda1 == pytest.approx(want, rel=1e-12)
+
+
 def test_rosenstein_henon(henon_emb):
     curve = pk.rosenstein_curve(henon_emb, horizon=15)
     assert curve.method == "rosenstein"
@@ -198,6 +208,58 @@ def test_kantz_henon(henon_emb):
     assert curve.eps0 == eps0
     rate = pk.divergence_rate(curve)
     assert rate.value == pytest.approx(HENON_LAMBDA1, abs=HENON_BAND)
+
+
+def _kantz_reference(emb, eps0, horizon, n_refs):
+    """kantz_curve as a per-reference loop: one ball, one mean, one log."""
+    pts = emb.points
+    index = pk.successor_index(emb, horizon)
+    n_eligible = emb.n_points - horizon
+    refs = (np.arange(n_eligible) if n_refs is None
+            else np.unique(np.linspace(0, n_eligible - 1, n_refs).astype(int)))
+    offsets = np.arange(horizon + 1)
+    sums, used = np.zeros(horizon + 1), 0
+    for r in refs:
+        nbrs, d = index.radius(int(r), eps0, emb.default_theiler())
+        nbrs = nbrs[d > 0.0]
+        if nbrs.size:
+            diff = pts[nbrs[:, None] + offsets] - pts[r + offsets][None, :, :]
+            sums += np.log(np.sqrt(np.sum(diff ** 2, axis=2)).mean(axis=0))
+            used += 1
+    return sums / used, used
+
+
+@pytest.mark.parametrize("m, decimals, eps_frac, horizon, n_refs", [
+    (2, None, 0.01, 12, 300),
+    (2, None, 0.01, 1, None),
+    (2, 2, 0.01, 12, None),         # repeated values: zero-distance neighbors dropped
+    (2, None, 0.0005, 12, None),    # about two thirds of the balls are empty
+    (3, None, 0.01, 8, 500),
+    (8, None, 0.05, 6, 300),        # pairwise sums over 8 coordinates
+])
+@pytest.mark.parametrize("block", [1, None, 1 << 40],
+                         ids=["block-per-ball", "default-block", "one-block"])
+def test_kantz_batched_means_equal_a_per_reference_loop(monkeypatch, m, decimals,
+                                                        eps_frac, horizon, n_refs, block):
+    if block is not None:
+        monkeypatch.setattr(lyapunov, "_KANTZ_BLOCK", block)
+    values = pk.sample(pk.catalog("henon"), 2000)[:, 0]
+    if decimals is not None:
+        values = np.round(values, decimals)
+    emb = pk.embed(pk.TimeSeries(values), m, 1)
+    eps0 = eps_frac * pk.data_diameter(emb.points)
+    with np.errstate(divide="ignore"):  # a rounded ball can collapse to mean 0
+        curve = pk.kantz_curve(emb, eps0, horizon, n_refs=n_refs)
+        want, used = _kantz_reference(emb, eps0, horizon, n_refs)
+    assert curve.n_refs == used
+    assert curve.values.tobytes() == want.tobytes()
+
+
+def test_kantz_every_ball_empty_is_config_error():
+    values = np.round(pk.sample(pk.catalog("henon"), 2000)[:, 0], 2)
+    emb = pk.embed(pk.TimeSeries(values), 2, 1)
+    with pytest.raises(pk.ConfigError, match="increase eps0"):
+        pk.kantz_curve(emb, 0.005, 10)  # below the 0.01 grid step
 
 
 def test_kantz_rejects_nonpositive_radius(henon_emb):

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import phasekit as pk
+from phasekit import series
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -145,6 +148,46 @@ def test_csv_round_trip_bit_exact(tmp_path_factory, values):
     back = pk.load_csv(path, dt=0.25)
     np.testing.assert_array_equal(back.values, ts.values)
     assert back.names == ts.names
+
+
+# Cells that both parsers read, cells only float() reads (digit underscores,
+# Arabic-Indic digits) and cells neither reads.
+_cells = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(-1e6, 1e6, width=32).map(str),
+    st.sampled_from(["1_0", "\u0661\u0662", "\u0663.\u0665", "0x10", "+.5", "-0", "5.",
+                     "Infinity", "-nan", "1d3", " 2 ", "\t3", "1 2", '"4"', "e", "",
+                     "1e", "\xa07\xa0", "1e400", "-1E-400"]),
+    st.text(alphabet="0123456789.eE+-_ \t\xa0\u0660\u0661x", max_size=6),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_cells, min_size=1, max_size=3), min_size=1, max_size=4),
+       st.sampled_from([",", None]))
+def test_loadtxt_fast_path_is_bit_equal_or_defers(table, delim):
+    lines = [(delim or " ").join(cells) for cells in table]
+    lines = [line for line in lines if line.strip() != ""]
+    if not lines:
+        return
+    n_cols = len(series._cells(lines[0], delim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = series._loadtxt(lines, delim, n_cols)
+    try:
+        slow = series._parse_cells("t.csv", list(enumerate(lines, 1)), delim, n_cols)
+    except pk.FormatError:
+        assert fast is None
+    else:
+        assert fast is None or fast.tobytes() == slow.tobytes()
+
+
+def test_load_csv_defers_tokens_loadtxt_rejects(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1_0,2\n\u0663,4.5\n")
+    data, names = pk.read_numeric_table(p)
+    assert names == ("a", "b")
+    np.testing.assert_array_equal(data, [[10.0, 2.0], [3.0, 4.5]])
 
 
 def test_detrend_line_to_zero():
