@@ -213,8 +213,8 @@ def test_knn_many_resorts_rows_out_of_tree_order():
     rng = np.random.default_rng(3)
     pts = np.repeat(rng.normal(size=(60, 2)), 3, axis=0)[rng.permutation(180)]
     index = pk.NeighborIndex(pts, default_theiler=0)
-    _, tree_idx = index.tree.query(pts, k=6)
-    assert any(np.any(np.diff(r[1:]) < 0) for r in tree_idx)  # tied rows out of order
+    tree_d, tree_idx = index.tree.query(pts, k=6)
+    assert np.any((np.diff(tree_d, axis=1) == 0) & (np.diff(tree_idx, axis=1) < 0))
     idx, dist = index.knn_many(np.arange(180), 5)
     for r in range(180):
         want_idx, want_d = _brute_knn(pts, np.arange(180), r, 5, 0)

@@ -152,7 +152,7 @@ def test_csv_round_trip_bit_exact(tmp_path_factory, values):
 
 # Cells that both parsers read, cells only float() reads (digit underscores,
 # Arabic-Indic digits) and cells neither reads.
-_cells = st.one_of(
+_table_cells = st.one_of(
     st.floats(width=64).map(repr),
     st.floats(-1e6, 1e6, width=32).map(str),
     st.sampled_from(["1_0", "\u0661\u0662", "\u0663.\u0665", "0x10", "+.5", "-0", "5.",
@@ -163,7 +163,7 @@ _cells = st.one_of(
 
 
 @settings(max_examples=300)
-@given(st.lists(st.lists(_cells, min_size=1, max_size=3), min_size=1, max_size=4),
+@given(st.lists(st.lists(_table_cells, min_size=1, max_size=3), min_size=1, max_size=4),
        st.sampled_from([",", None]))
 def test_loadtxt_fast_path_is_bit_equal_or_defers(table, delim):
     lines = [(delim or " ").join(cells) for cells in table]
