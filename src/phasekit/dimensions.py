@@ -13,8 +13,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .embedding import DelayEmbedding
-from .errors import DegenerateDataError, InsufficientDataError, ScalingRegionError
-from .fitting import fit_scaling_region, fit_slope, scaling_window
+from .errors import DegenerateDataError, InsufficientDataError
+from .fitting import fit_scaling_region
 
 DEFAULT_GRID_POINTS = 24
 DEFAULT_GRID_SPAN = (1e-3, 1.0)  # relative to the data diameter
@@ -146,36 +146,24 @@ def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCu
     return CorrelationCurve(epsilons, values, m, theiler)
 
 
-def fit_dimension(epsilons, ordinate, q: float, fit_range: tuple | None = None,
-                  rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
+def fit_dimension(epsilons, ordinate, q: float,
+                  fit_range: tuple | None = None) -> DimensionEstimate:
     """Slope of ordinate vs log2 eps, reported as a dimension of order q.
 
-    Without fit_range the scaling window is chosen automatically; with one,
-    every grid point whose eps lies inside it is fitted directly (at least 3
-    required).  Either way the window is reported in eps units.
+    fitting.fit_scaling_region picks the points: the automatic window, or
+    with fit_range every grid point whose eps lies inside it (at least 3;
+    the grid may be unsorted).  The window is reported in eps units.
     """
     eps = np.asarray(epsilons, dtype=float)
-    y = np.asarray(ordinate, dtype=float)
-    x = np.log2(eps)
-    if fit_range is not None:
-        lo, hi = fit_range
-        inside = (eps >= lo) & (eps <= hi)
-        n_inside = int(inside.sum())
-        if n_inside < 3:
-            raise ScalingRegionError(
-                "fewer than 3 usable grid points inside the requested range")
-        slope, _, stderr = fit_slope(x[inside], y[inside])
-        used = eps[inside]
-        return DimensionEstimate(slope, stderr, q, (float(used[0]), float(used[-1])),
-                                 n_inside)
-    fit = fit_scaling_region(x, y, rel_tol=rel_tol, min_points=min_points)
+    fit = fit_scaling_region(np.log2(eps), ordinate, fit_range, grid=eps,
+                             min_inside=3, unit="grid points")
     i, j = fit.window
-    return DimensionEstimate(fit.slope, fit.stderr, q,
-                             (float(eps[i]), float(eps[j])), j - i + 1)
+    return DimensionEstimate(fit.slope, fit.stderr, q, (float(eps[i]), float(eps[j])),
+                             fit.n_points)
 
 
-def correlation_dimension(curve: CorrelationCurve, fit_range: tuple | None = None,
-                          rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
+def correlation_dimension(curve: CorrelationCurve,
+                          fit_range: tuple | None = None) -> DimensionEstimate:
     """Slope of log2 C(eps) vs log2 eps over the scaling window.
 
     Only grid points with 0 < C < 1 participate; see fit_dimension for the
@@ -183,7 +171,7 @@ def correlation_dimension(curve: CorrelationCurve, fit_range: tuple | None = Non
     """
     usable = (curve.values > 0.0) & (curve.values < 1.0)
     return fit_dimension(curve.epsilons[usable], np.log2(curve.values[usable]),
-                         2.0, fit_range, rel_tol, min_points)
+                         2.0, fit_range)
 
 
 def _box_masses(points: np.ndarray, eps: float) -> np.ndarray:
@@ -222,15 +210,15 @@ def generalized_curve(data, q: float, epsilons=None):
     return epsilons, y
 
 
-def generalized_dimension(data, q: float, epsilons=None, fit_range: tuple | None = None,
-                          rel_tol: float = 0.10, min_points: int = 5) -> DimensionEstimate:
+def generalized_dimension(data, q: float, epsilons=None,
+                          fit_range: tuple | None = None) -> DimensionEstimate:
     """Renyi dimension of order q: slope of the box-counting ordinate.
 
     See generalized_curve for the ordinate convention and fit_dimension for
     the window rules.
     """
     epsilons, y = generalized_curve(data, q, epsilons)
-    return fit_dimension(epsilons, y, q, fit_range, rel_tol, min_points)
+    return fit_dimension(epsilons, y, q, fit_range)
 
 
 def kaplan_yorke(exponents) -> float:

@@ -21,8 +21,8 @@ class DegenerateDataError(PhasekitError):
 
 class ScalingRegionError(PhasekitError, ValueError):
     """No scaling window satisfied the linearity rule, or an explicit fit range
-    keeps too few points.  Also a ValueError, since a bad range is a bad value;
-    the CLI still reports it as a failed computation (exit 1)."""
+    keeps too few points or a non-finite one.  Also a ValueError (a bad range
+    is a bad value); the CLI still reports it as a failed computation (exit 1)."""
 
 
 class DivergenceError(PhasekitError):

@@ -1,9 +1,12 @@
-"""Automatic scaling-window detection and straight-line fits on curves.
+"""Scaling windows and the straight-line fits over them.
 
 Dimension and divergence estimators all reduce to "find the part of a curve
-that is actually straight, then fit its slope".  The window rule: the longest
-contiguous run whose pointwise finite-difference slopes stay within a relative
-band of their own mean.
+that is actually straight, then fit its slope", and fit_scaling_region alone
+picks the points: scaling_window's automatic window, or every point whose
+grid value (eps for dimensions, the offset for divergence curves) lies inside
+a caller's fit range, bounds included.  Only finite points are fitted: the
+window accepts only finite slopes between finite points, and a fit range
+holding an inf or NaN point raises ScalingRegionError.
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ import numpy as np
 
 from .errors import ScalingRegionError
 
+REL_TOL = 0.10   # local slopes may spread this much of their mean |slope|
+MIN_POINTS = 5   # points in the shortest automatic window
+
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
     stderr: float
-    window: tuple  # (first index, last index) inclusive, into the input arrays
+    window: tuple  # (first index, last index) fitted, into the input arrays
+    n_points: int  # points fitted; a fit range on an unsorted grid skips some
 
 
 def fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -47,44 +54,43 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, stderr
 
 
-def scaling_window(x: np.ndarray, y: np.ndarray, rel_tol: float = 0.10,
-                   min_points: int = 5) -> tuple[int, int]:
-    """Longest index window where local slopes vary less than rel_tol.
+def scaling_window(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """Longest index window where local slopes vary less than REL_TOL.
 
     Local slopes are consecutive finite differences; a window qualifies when
-    (max - min) <= rel_tol * |mean| over the slopes inside it and the mean is
-    nonzero.  Ties go to the leftmost window.  Raises ScalingRegionError when
+    it spans at least MIN_POINTS points, every slope inside it is finite and
+    joins two finite points, their mean is nonzero and (max - min) <= REL_TOL
+    * |mean|.  Ties go to the leftmost window.  Raises ScalingRegionError when
     nothing qualifies.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    if x.size < min_points:
+    if x.size < MIN_POINTS:
         raise ScalingRegionError(
-            f"curve has {x.size} points, need {min_points}; pass an explicit range")
-    dx = np.diff(x)
-    if np.any(dx == 0.0):
-        raise ValueError("abscissa values must be distinct")
-    slopes = np.diff(y) / dx
+            f"curve has {x.size} points, need {MIN_POINTS}; pass an explicit range")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge steps
+        dx = np.diff(x)
+        if np.any(dx == 0.0):
+            raise ValueError("abscissa values must be distinct")
+        slopes = np.diff(y) / dx
+    finite = np.isfinite(x) & np.isfinite(y)
+    usable = (finite[:-1] & finite[1:] & np.isfinite(slopes)).tolist()
+    slopes = slopes.tolist()
 
     best: tuple[int, int] | None = None
-    n = slopes.size
+    n = len(slopes)
     for i in range(n):
-        lo = slopes[i]
-        hi = slopes[i]
-        total = 0.0
+        lo, hi, total = slopes[i], slopes[i], 0.0
         for j in range(i, n):
-            lo = min(lo, slopes[j])
-            hi = max(hi, slopes[j])
+            if not usable[j]:
+                break  # no window reaches across a non-finite slope
+            lo, hi = min(lo, slopes[j]), max(hi, slopes[j])
             total += slopes[j]
             count = j - i + 1
-            if count + 1 < min_points:
-                continue
             mean = total / count
-            if mean == 0.0:
-                continue
-            if hi - lo <= rel_tol * abs(mean):
+            if count + 1 >= MIN_POINTS and mean != 0.0 and hi - lo <= REL_TOL * abs(mean):
                 if best is None or (j - i) > (best[1] - best[0]):
                     best = (i, j + 1)  # slope window [i, j] covers points i..j+1
     if best is None:
@@ -93,11 +99,28 @@ def scaling_window(x: np.ndarray, y: np.ndarray, rel_tol: float = 0.10,
     return best
 
 
-def fit_scaling_region(x, y, rel_tol: float = 0.10, min_points: int = 5,
-                       window: tuple | None = None) -> SlopeFit:
-    """Fit a slope over an automatically chosen (or caller-pinned) window."""
-    if window is None:
-        window = scaling_window(x, y, rel_tol=rel_tol, min_points=min_points)
-    i, j = window
-    slope, intercept, stderr = fit_slope(x[i:j + 1], y[i:j + 1])
-    return SlopeFit(slope, intercept, stderr, (i, j))
+def fit_scaling_region(x, y, fit_range: tuple | None = None, grid=None,
+                       min_inside: int = 2, unit: str = "points") -> SlopeFit:
+    """Slope of y against x over scaling_window's window or over fit_range.
+
+    fit_range = (lo, hi) keeps every point, in input order, whose grid value
+    (x when grid is None) lies in [lo, hi]: at least min_inside points (unit
+    names them in the error), all finite.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if fit_range is None:
+        i, j = scaling_window(x, y)
+        rows = np.arange(i, j + 1)
+    else:
+        lo, hi = fit_range
+        grid = x if grid is None else np.asarray(grid, dtype=float)
+        rows = np.flatnonzero((grid >= lo) & (grid <= hi))
+        if rows.size < min_inside:
+            raise ScalingRegionError(f"fit range keeps fewer than {min_inside} {unit}")
+        bad = rows[~(np.isfinite(x[rows]) & np.isfinite(y[rows]))]
+        if bad.size:
+            raise ScalingRegionError(f"fit range holds non-finite points at {unit} "
+                                     f"{grid[bad].tolist()}: y = {y[bad].tolist()}")
+    slope, intercept, stderr = fit_slope(x[rows], y[rows])
+    return SlopeFit(slope, intercept, stderr, (int(rows[0]), int(rows[-1])), rows.size)

@@ -17,9 +17,8 @@ import numpy as np
 
 from .dimensions import data_diameter
 from .embedding import DelayEmbedding, row_distances, successor_index
-from .errors import (ConfigError, DegenerateDataError, DivergenceError,
-                     InsufficientDataError, ScalingRegionError)
-from .fitting import fit_scaling_region, fit_slope
+from .errors import ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError
+from .fitting import fit_scaling_region
 from .systems import _NORM_LIMIT, DEFAULT_TRANSIENT, ReferenceSystem, rk4_floats
 
 
@@ -99,8 +98,6 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     """
     pts = emb.points
     k_rows = emb.n_points
-    if theiler is None:
-        theiler = emb.default_theiler()
     if max_len is None:
         max_len = 0.1 * data_diameter(pts)
     if evolve_steps < 1:
@@ -237,6 +234,9 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     block's widest with copies of its reference (which add exact zeros), so
     every sum keeps the neighbor order of a per-reference loop and the curve
     is bit-equal to one.  The logs are summed in reference order.
+
+    A ball collapsed onto its reference's orbit at some offset (as on coarsely
+    quantized data) gives -inf there, a point that no fit window accepts.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -247,8 +247,6 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     if n_eligible < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
     index = successor_index(emb, horizon)
-    if theiler is None:
-        theiler = emb.default_theiler()
 
     if n_refs is None or n_refs >= n_eligible:
         refs = np.arange(n_eligible)
@@ -282,26 +280,22 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
             np.concatenate([balls[i] for i in sel])
         here = pts[ref[:, None] + offsets][:, None]     # (refs, 1, offsets, width)
         dist = row_distances(pts, nbrs[:, :, None] + offsets, here)
-        log_means[sel] = np.log(dist.sum(axis=1) / sizes[sel][:, None])
+        with np.errstate(divide="ignore"):  # a collapsed ball logs -inf
+            log_means[sel] = np.log(dist.sum(axis=1) / sizes[sel][:, None])
         start = stop
     return DivergenceCurve(offsets, log_means.sum(axis=0) / used.size, used.size,
                            emb.dt, "kantz", eps0=eps0)
 
 
-def divergence_rate(curve: DivergenceCurve, fit_range: tuple | None = None,
-                    rel_tol: float = 0.10, min_points: int = 5) -> RateEstimate:
-    """Slope of a divergence curve (per sample) over its linear region."""
+def divergence_rate(curve: DivergenceCurve,
+                    fit_range: tuple | None = None) -> RateEstimate:
+    """Slope of a divergence curve (per sample) over its linear region.
+
+    fitting.fit_scaling_region picks the offsets: the automatic window, or
+    with fit_range every offset inside it (at least 2).
+    """
     x = curve.offsets.astype(float)
-    y = curve.values
-    if fit_range is not None:
-        lo, hi = fit_range
-        mask = (x >= lo) & (x <= hi)
-        if mask.sum() < 2:
-            raise ScalingRegionError("fit range keeps fewer than 2 offsets")
-        slope, _, stderr = fit_slope(x[mask], y[mask])
-        xs = x[mask]
-        return RateEstimate(slope, stderr, (float(xs[0]), float(xs[-1])))
-    fit = fit_scaling_region(x, y, rel_tol=rel_tol, min_points=min_points)
+    fit = fit_scaling_region(x, curve.values, fit_range, unit="offsets")
     i, j = fit.window
     return RateEstimate(fit.slope, fit.stderr, (float(x[i]), float(x[j])))
 
@@ -531,8 +525,6 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
     if renorm_interval < 1:
         raise ValueError("renorm_interval must be positive")
     index = successor_index(emb, 1)
-    if theiler is None:
-        theiler = emb.default_theiler()
 
     rows = np.arange(steps)
     nbrs, _ = index.knn_many(rows, k_neighbors, theiler)

@@ -73,10 +73,6 @@ class SigmoidNetRegressor:
         return hidden @ self.w2.T + self.b2
 
 
-def _net_pack(w1, b1, w2, b2):
-    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-
-
 def _net_unpack(theta, d, h, o):
     i = 0
     w1 = theta[i:i + h * d].reshape(h, d); i += h * d

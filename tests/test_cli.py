@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -102,6 +103,26 @@ def test_lyapunov_fit_range_outside_curve_exits_1(workdir, capsys):
                      "--horizon", "12", "--fit-lo", "50", "--fit-hi", "60")
     assert rc == 1
     assert err.startswith("error: ") and "fewer than 2 offsets" in err
+
+
+@pytest.mark.parametrize("fit, message", [
+    ((), "no scaling window satisfies the linearity rule"),
+    (("--fit-lo", "2", "--fit-hi", "8"),
+     "non-finite points at offsets [2.0, 3.0, 4.0]: y = [-inf, -inf, -inf]"),
+], ids=["automatic-window", "fit-range"])
+def test_kantz_on_quantized_data_exits_1(workdir, capsys, fit, message):
+    # Rounded to 2 decimals, some balls collapse onto their reference's orbit
+    # at offsets 1-4, where the Kantz curve is -inf.
+    values = np.round(pk.sample(pk.catalog("henon"), 7000), 2)
+    pk.save_csv(pk.TimeSeries(values), "rounded.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, "lyapunov", "--input", "rounded.csv",
+                           "--channel", "0", "--m", "2", "--tau", "1",
+                           "--method", "kantz", "--horizon", "12",
+                           "--n-refs", "3000", *fit)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_computation_error_exits_1(workdir, capsys):
