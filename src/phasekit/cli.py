@@ -34,7 +34,7 @@ from . import predict as prd
 from . import systems
 from .embedding import (NeighborIndex, embed, embedding_to_series,
                         mutual_information_profile, select_delay)
-from .errors import NoInteriorMinimumWarning, PhasekitError
+from .errors import DegenerateDataError, NoInteriorMinimumWarning, PhasekitError
 from .series import TimeSeries, load_csv, save_csv, write_numeric_table
 
 DEFAULT_SEED = 0
@@ -234,7 +234,12 @@ def cmd_lyapunov(args) -> dict:
             curve = lyap.rosenstein_curve(emb, args.horizon, theiler=theiler)
         else:
             if eps0 is None:
-                eps0 = 0.01 * dim.data_diameter(emb.points)
+                diameter = dim.data_diameter(emb.points)
+                if diameter == 0.0:
+                    raise DegenerateDataError(
+                        "all embedded points coincide; the default eps0 "
+                        "(1% of the diameter) would be 0")
+                eps0 = 0.01 * diameter
             curve = lyap.kantz_curve(emb, eps0, args.horizon, theiler=theiler,
                                      n_refs=args.n_refs)
         rate = lyap.divergence_rate(curve, fit_range=_fit_range(args))

@@ -61,13 +61,16 @@ def mutual_information_profile(series: TimeSeries, tau_max: int,
     if bins < 2:
         raise ValueError("need at least 2 histogram bins")
     edges = np.linspace(lo, hi, bins + 1)
+    # histogram2d's binning, done once: bin j holds [edges[j], edges[j+1]),
+    # and values equal to the top edge go in the last bin
+    idx = np.searchsorted(edges, x, "right") - 1
+    idx[idx == bins] = bins - 1
 
     taus = np.arange(1, tau_max + 1)
     values = np.empty(tau_max)
     for i, tau in enumerate(taus):
-        a = x[: n - tau]
-        b = x[tau:]
-        joint, _, _ = np.histogram2d(a, b, bins=(edges, edges))
+        counts = np.bincount(idx[: n - tau] * bins + idx[tau:], minlength=bins * bins)
+        joint = counts.reshape(bins, bins).astype(float)
         total = joint.sum()
         p = joint / total
         px = p.sum(axis=1)

@@ -79,9 +79,6 @@ class TimeBasis:
             raise ConfigError("basis values overflow on the evaluation interval")
         return out
 
-    def labels(self) -> tuple:
-        return tuple(term.label() for term in self.terms)
-
 
 def parse_term(token: str) -> BasisTerm:
     """Parse "1", "t", "t^3", "sin(omega,phase)", "exp(alpha)"."""
@@ -309,6 +306,14 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
     central-difference derivative, optionally taken on a moving-average
     smoothed copy of the states (smooth_window > 1).  A rank-deficient
     regressor block raises, naming the cure (fewer basis terms or lower n).
+
+    The fit is taken on the free run from the least-squares x0.  One stacked
+    run gives both x0 (bit-equal to estimate_x0) and, by superposition,
+    that free run as forced + sum_i x0_i free_i, so fit lies within rel
+    1e-12 of fit_percent(outputs, simulate(model, x0, K)).  fit is None
+    where that run's state norm passes 1e12.  When the stacked run diverges
+    or its least squares fails, the fit falls back to simulate from the
+    first state, and is None if that diverges too.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -361,11 +366,15 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
     model = ReducedModel(mode, dynamics, psi, c_mat, offset, basis, dt, t0,
                          fit=None, residual_rms=rms)
     try:
-        x0 = estimate_x0(model, outputs)
+        forced, free = _responses(model, k, t0)
+        x0 = _x0_from_responses(model, outputs, forced, free)
     except (DivergenceError, np.linalg.LinAlgError):
-        x0 = src[0]
+        x0 = None
     try:
-        yhat = simulate(model, x0, k)
+        if x0 is None:
+            yhat = simulate(model, src[0], k)
+        else:
+            yhat = _superposed_outputs(model, forced, free, x0)
         fp = tuple(float(v) for v in fit_percent(outputs, yhat))
     except (DivergenceError, DegenerateDataError):
         fp = None
@@ -382,24 +391,27 @@ def _matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mat @ vecs[..., None])[..., 0]
 
 
-def _state_run(model: ReducedModel, x0, steps: int, t0: float,
-               forced: bool = True) -> np.ndarray:
-    """Propagate one state (n,) or a stack (c, n) of states side by side.
+def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
+    """Propagate one forced run (n,) or a stack (c, n) of runs side by side.
 
     Returns (steps, n) or (steps, c, n), row 0 being x0.  The input P phi(t)
     is evaluated once on the step grid (and on the RK4 half and end points in
-    continuous mode); forced=False drops it.  DivergenceError is raised when
-    any single run turns non-finite or its state norm passes 1e12.
+    continuous mode).  A single state gets the input; in a stack only run 0
+    does, and the other runs get exact zeros, so each is the free response
+    to its initial state.  Every run rounds exactly as it would alone.
+    DivergenceError names the first step at which any single run turns
+    non-finite or its state norm passes 1e12.
     """
     x = np.asarray(x0, dtype=float)
     dt = model.dt
     a = model.dynamics
     t = t0 + dt * np.arange(steps - 1)
     grids = (t,) if model.mode == "discrete" else (t, t + 0.5 * dt, t + dt)
-    if forced:
-        u = [_matvec(model.psi_coeffs, model.basis.evaluate(g)) for g in grids]
-    else:
-        u = [np.zeros((steps - 1, model.n_states))] * len(grids)
+    u = [_matvec(model.psi_coeffs, model.basis.evaluate(g)) for g in grids]
+    if x.ndim == 2:
+        padded = np.zeros((len(grids), steps - 1) + x.shape)
+        padded[:, :, 0] = u
+        u = padded
     out = np.empty((steps,) + x.shape)
     out[0] = x
     # Divergence is checked once per block of rows; the steps run past a
@@ -426,14 +438,57 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float,
     return out
 
 
+def _responses(model: ReducedModel, steps: int, t0: float):
+    """Forced response from zero (steps, n) and free responses (steps, n, n).
+
+    One stacked run of n + 1 states: the zero state forced, then the unit
+    states e_i unforced, so free[:, i] is the free response to e_i.
+    """
+    n = model.n_states
+    runs = _state_run(model, np.vstack([np.zeros(n), np.eye(n)]), steps, t0)
+    # contiguous copies, laid out as two separate runs would be, so that the
+    # products taken from them round the same
+    return np.ascontiguousarray(runs[:, 0]), np.ascontiguousarray(runs[:, 1:])
+
+
+def _x0_from_responses(model: ReducedModel, outputs: np.ndarray,
+                       forced: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Least-squares x0 for (K, channels) outputs, given the responses."""
+    y_forced = forced @ model.C.T + model.output_offset
+    # row (step, channel), column i: channel output of the run from e_i
+    design = (free @ model.C.T).transpose(0, 2, 1).reshape(-1, model.n_states)
+    target = (outputs - y_forced).ravel()
+    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    return sol
+
+
+def _superposed_outputs(model: ReducedModel, forced: np.ndarray,
+                        free: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Outputs of the forced run from x0, as forced + sum_i x0_i free_i.
+
+    The model is linear, so this equals simulate(model, x0, K) up to
+    rounding.  As in simulate, DivergenceError names the first step after
+    x0 whose state norm passes 1e12 or turns non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = forced + x0 @ free
+        bad = ~(np.linalg.norm(states[1:], axis=1) <= _STATE_NORM_LIMIT)
+    if bad.any():
+        raise DivergenceError(f"model state diverged at step {1 + int(np.argmax(bad))}")
+    return states @ model.C.T + model.output_offset
+
+
 def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.ndarray:
     """Least-squares initial state for the free run against observed outputs.
 
     The model output is affine in the initial state (superposition), so the
-    best x0 follows from one forced run started at zero plus one unforced run
-    of the n x n identity block, whose rows are the free responses to the
-    unit initial states (Ljung, System Identification, 2nd ed., 1999).  This
-    keeps the evaluation from penalising directions the data never excited.
+    best x0 follows from the forced run started at zero plus the unforced
+    runs from the unit initial states e_i (Ljung, System Identification,
+    2nd ed., 1999).  All n + 1 runs step together as one stack; each rounds
+    as it would alone, so x0 is bit-equal to taking the runs one by one.
+    This keeps the evaluation from penalising directions the data never
+    excited.  DivergenceError names the first step at which any run of the
+    stack diverges.
     """
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
@@ -442,15 +497,8 @@ def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.nda
     if k < 2:
         raise ValueError("outputs must contain at least 2 rows")
     t0 = model.t0 if t0 is None else t0
-    n = model.n_states
-    forced = _state_run(model, np.zeros(n), k, t0, forced=True)
-    free = _state_run(model, np.eye(n), k, t0, forced=False)
-    y_forced = forced @ model.C.T + model.output_offset
-    # row (step, channel), column i: channel output of the run from e_i
-    design = (free @ model.C.T).transpose(0, 2, 1).reshape(-1, n)
-    target = (outputs - y_forced).ravel()
-    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    return sol
+    forced, free = _responses(model, k, t0)
+    return _x0_from_responses(model, outputs, forced, free)
 
 
 def simulate(model: ReducedModel, x0, steps: int, t0: float | None = None) -> np.ndarray:
@@ -466,5 +514,5 @@ def simulate(model: ReducedModel, x0, steps: int, t0: float | None = None) -> np
     if x.shape != (model.n_states,):
         raise ValueError(f"x0 must have shape ({model.n_states},)")
     t0 = model.t0 if t0 is None else t0
-    states = _state_run(model, x, steps, t0, forced=True)
+    states = _state_run(model, x, steps, t0)
     return states @ model.C.T + model.output_offset

@@ -205,6 +205,27 @@ def test_kantz_default_radius_is_one_percent_of_diameter(workdir, capsys):
     assert payload["params"]["eps0"] == float(f"{expected:.12g}")
 
 
+def _constant_series(name="const.csv"):
+    pk.save_csv(pk.TimeSeries(np.full(300, 2.5)), name)
+    return name
+
+
+def test_kantz_default_radius_on_zero_diameter_exits_1(workdir, capsys):
+    # the default eps0 is 1% of the diameter, 0 on a constant series
+    rc, out, err = run(capsys, "lyapunov", "--input", _constant_series(),
+                       "--m", "2", "--tau", "1", "--method", "kantz")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "eps0" in err
+
+
+def test_kantz_explicit_zero_radius_is_usage_error(workdir, capsys):
+    rc, out, err = run(capsys, "lyapunov", "--input", _constant_series(),
+                       "--m", "2", "--tau", "1", "--method", "kantz",
+                       "--eps0", "0")
+    assert rc == 2 and out == ""
+    assert "eps0 must be positive" in err
+
+
 def test_identify_payload_and_model(workdir, capsys):
     name = make_series(capsys)
     rc, out, _ = run(capsys, "identify", "--input", name, "--channel", "0",

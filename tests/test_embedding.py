@@ -83,6 +83,40 @@ def test_mi_time_reversal_symmetry():
     np.testing.assert_allclose(fwd.values, rev.values, atol=1e-12)
 
 
+def _mi_profile_histogram2d(x, tau_max, bins):
+    """The MI profile with one np.histogram2d call per lag."""
+    n = x.size
+    edges = np.linspace(x.min(), x.max(), bins + 1)
+    values = np.empty(tau_max)
+    for i, tau in enumerate(range(1, tau_max + 1)):
+        joint, _, _ = np.histogram2d(x[: n - tau], x[tau:], bins=(edges, edges))
+        p = joint / joint.sum()
+        px = p.sum(axis=1)
+        py = p.sum(axis=0)
+        mask = p > 0
+        denom = np.outer(px, py)[mask]
+        values[i] = max(0.0, float(np.sum(p[mask] * np.log(p[mask] / denom))))
+    return values
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(2, 20),
+       st.lists(st.one_of(st.integers(0, 20), st.floats(0.0, 1.0)),
+                min_size=10, max_size=300),
+       st.integers(1, 8))
+def test_mi_profile_bit_equal_to_histogram2d(lo, span, bins, picks, tau_max):
+    # ints pick a bin edge exactly (the top edge included), floats a point
+    # between the extremes; both extremes are in the data, so the profile
+    # builds the same edges
+    edges = np.linspace(lo, lo + span, bins + 1)
+    x = [edges[p % (bins + 1)] if isinstance(p, int) else lo + p * span
+         for p in picks]
+    x = np.clip(np.array([edges[0], edges[-1]] + x), edges[0], edges[-1])
+    tau_max = min(tau_max, x.size - 1)
+    prof = pk.mutual_information_profile(pk.TimeSeries(x), tau_max, bins=bins)
+    np.testing.assert_array_equal(prof.values,
+                                  _mi_profile_histogram2d(x, tau_max, bins))
+
+
 def test_select_delay_interior_minimum():
     prof = pk.MIProfile(np.arange(1, 6), np.array([3, 2, 1, 2, 3.0]), 8)
     assert pk.select_delay(prof) == 3

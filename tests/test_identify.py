@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import phasekit as pk
-from phasekit.identify import TimeBasis, parse_term
+from phasekit.identify import TimeBasis, _state_run, parse_term
 
 
 def damped_rotation(angle=0.7, rho=0.95):
@@ -308,3 +311,137 @@ def test_moving_average_windows():
     np.testing.assert_allclose(pk.moving_average(vals, 1), vals)
     const = pk.moving_average(np.full((6, 2), 4.0), 5)
     np.testing.assert_allclose(const, 4.0)
+
+
+def _random_stable_model(seed, mode, n, channels=2):
+    rng = np.random.default_rng(seed)
+    dt = 1.0 if mode == "discrete" else 0.05
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    decay = q @ np.diag(rng.uniform(0.3, 0.97, n)) @ q.T
+    dyn = decay if mode == "discrete" else (decay - np.eye(n)) / dt
+    basis = pk.parse_basis("1, t, sin(0.7,0.2)")
+    return pk.ReducedModel(mode, dyn, rng.normal(scale=0.1, size=(n, 3)),
+                           rng.normal(size=(channels, n)),
+                           rng.normal(size=channels), basis, dt, 0.3, None,
+                           (0.0,))
+
+
+def _two_run_x0(model, y):
+    """Least-squares x0 from a forced run from zero, then a free run of the
+    identity block on a copy of the model without input."""
+    n, k = model.n_states, y.shape[0]
+    forced = _state_run(model, np.zeros(n), k, model.t0)
+    unforced = dataclasses.replace(model,
+                                   psi_coeffs=np.zeros_like(model.psi_coeffs))
+    free = _state_run(unforced, np.eye(n), k, model.t0)
+    y_forced = forced @ model.C.T + model.output_offset
+    design = (free @ model.C.T).transpose(0, 2, 1).reshape(-1, n)
+    return np.linalg.lstsq(design, (y - y_forced).ravel(), rcond=None)[0]
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("seed", range(6))
+def test_estimate_x0_bit_equal_to_two_runs(mode, seed):
+    n = 1 + seed % 4
+    model = _random_stable_model(seed, mode, n)
+    rng = np.random.default_rng(100 + seed)
+    y = (pk.simulate(model, rng.normal(size=n), 300)
+         + rng.normal(scale=0.05, size=(300, 2)))
+    np.testing.assert_array_equal(pk.estimate_x0(model, y), _two_run_x0(model, y))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_model_fit_matches_simulate_from_x0(mode, seed):
+    # the fit comes from forced + free @ x0, equal to the simulated free
+    # run up to rounding
+    n = 1 + seed % 4
+    truth = _random_stable_model(seed, mode, n, channels=n)
+    rng = np.random.default_rng(200 + seed)
+    unit = dataclasses.replace(truth, C=np.eye(n), output_offset=np.zeros(n))
+    k = 400
+    states = (pk.simulate(unit, rng.normal(size=n), k)
+              + rng.normal(scale=0.01, size=(k, n)))
+    outputs = states @ truth.C.T + truth.output_offset
+    model = pk.fit_model(states, outputs, basis=truth.basis, mode=mode,
+                         dt=truth.dt, t0=truth.t0,
+                         smooth_window=3 if mode == "continuous" else 0)
+    x0 = pk.estimate_x0(model, outputs)
+    ref = pk.fit_percent(outputs, pk.simulate(model, x0, k))
+    np.testing.assert_allclose(model.fit, ref, rtol=1e-12, atol=0.0)
+
+
+def test_estimate_x0_divergence_names_the_free_member_step():
+    # only the free run from e_1 diverges: 2**40 is the first power past 1e12
+    model = pk.ReducedModel("discrete", np.diag([0.5, 2.0, 0.3]),
+                            np.zeros((3, 0)), np.ones((1, 3)), np.zeros(1),
+                            TimeBasis(()), 1.0, 0.0, None, (0.0,))
+    with pytest.raises(pk.DivergenceError, match="diverged at step 40$"):
+        pk.estimate_x0(model, np.linspace(0.0, 1.0, 60))
+
+
+def test_estimate_x0_divergence_names_the_forced_member_step():
+    # the free run decays; the forced run follows the growing input exp(0.4 t)
+    model = pk.ReducedModel("discrete", np.array([[0.5]]), np.array([[1.0]]),
+                            np.eye(1), np.zeros(1), pk.parse_basis("exp(0.4)"),
+                            1.0, 0.0, None, (0.0,))
+    x, step = 0.0, 0
+    while abs(x) <= 1e12:
+        x = 0.5 * x + math.exp(0.4 * step)
+        step += 1
+    assert step > 64   # past the first divergence-check block
+    with pytest.raises(pk.DivergenceError, match=f"diverged at step {step}$"):
+        pk.simulate(model, [0.0], 100)
+    with pytest.raises(pk.DivergenceError, match=f"diverged at step {step}$"):
+        pk.estimate_x0(model, np.linspace(0.0, 1.0, 100))
+
+
+def _unstable_mode_states(second, k):
+    # x(t+1) = diag(0.8, 1.5) x(t): the free run from e_2 passes 1e12 at
+    # step 69, and the data follow the run from (1, second)
+    return np.array([[0.8 ** i, second * 1.5 ** i] for i in range(k)])
+
+
+def test_fit_model_fallback_fits_the_run_from_the_first_state():
+    states = _unstable_mode_states(1e-12, 80)
+    outputs = states @ np.array([1.0, 1.0]) + np.sin(np.arange(80.0)) * 1e-3
+    model = pk.fit_model(states, outputs)
+    with pytest.raises(pk.DivergenceError):
+        pk.estimate_x0(model, outputs)
+    ref = pk.fit_percent(outputs, pk.simulate(model, states[0], 80))
+    assert model.fit == tuple(float(v) for v in ref)
+
+
+def test_fit_model_fallback_gives_none_when_first_state_run_diverges():
+    # from (1, 1e-4) the run passes 1e12 at step 91
+    states = _unstable_mode_states(1e-4, 100)
+    model = pk.fit_model(states, states[:, 0] + states[:, 1])
+    with pytest.raises(pk.DivergenceError):
+        pk.simulate(model, states[0], 100)
+    assert model.fit is None
+
+
+def test_fit_model_fit_is_none_when_the_run_from_x0_passes_the_limit():
+    # the run from x0 (norm about 1e13) passes 1e12 while every member of
+    # the stacked run stays small, as simulate from x0 would report
+    states = 1e13 * run_discrete(damped_rotation(), np.zeros((2, 0)),
+                                 TimeBasis(()), [1.0, 0.3], 40)
+    model = pk.fit_model(states, states[:, 0])
+    with pytest.raises(pk.DivergenceError, match="diverged at step 1$"):
+        pk.simulate(model, pk.estimate_x0(model, states[:, 0]), 40)
+    assert model.fit is None
+
+
+@pytest.mark.parametrize("values, m, tau, n", [
+    (np.random.default_rng(4).normal(size=400), 3, 1, 3),   # identity branch
+    (np.sin(0.3 * np.arange(400.0)), 4, 5, 2),              # PCA branch
+], ids=["identity", "pca"])
+def test_projection_record_round_trip(values, m, tau, n):
+    emb = pk.embed(pk.TimeSeries(values), m, tau)
+    states, record = pk.build_state_sequence(emb, n)
+    assert record.identity == (n == m)
+    np.testing.assert_array_equal(record.transform(emb.points), states)
+    # the sine's delay vectors lie in a plane, so two components keep them
+    np.testing.assert_allclose(record.inverse(states), emb.points, atol=1e-9)
+    np.testing.assert_allclose(record.transform(record.inverse(states)), states,
+                               atol=1e-12)
