@@ -30,7 +30,7 @@ from .predict import (FeatureTransform, LocalStability,
                       NeighborhoodTableau, PredictorModel, SelectionResult,
                       StepwiseReport, build_tableau, composite_J,
                       confidence_value, e_psi, fit_predictor, layout_mask,
-                      local_predict, local_stability, preprocess_features,
+                      local_stability, preprocess_features,
                       select_prediction, step_sign_feature, stepwise_reconstruct,
                       value_feature)
 from .regressors import (LinearRegressor, MeanRegressor, SigmoidNetRegressor,
@@ -64,7 +64,7 @@ __all__ = [
     "fit_model", "fit_percent", "fit_predictor", "fit_scaling_region",
     "fit_slope", "generalized_curve", "generalized_dimension", "idft",
     "integrate", "iterate", "kantz_curve", "kaplan_yorke", "layout_mask", "load_contour", "load_csv",
-    "load_spectrum", "local_predict", "local_stability", "moving_average",
+    "load_spectrum", "local_stability", "moving_average",
     "mutual_information_profile", "normalize", "parse_basis", "parse_term",
     "plane_rotation", "preprocess_features", "read_numeric_table",
     "rk4_step", "rosenstein_curve", "sample", "save_contour", "save_csv",

@@ -32,8 +32,8 @@ from . import identify as idn
 from . import lyapunov as lyap
 from . import predict as prd
 from . import systems
-from .embedding import (NeighborIndex, embed, embedding_to_series,
-                        mutual_information_profile, select_delay)
+from .embedding import (embed, embedding_to_series, mutual_information_profile,
+                        select_delay, successor_index)
 from .errors import DegenerateDataError, NoInteriorMinimumWarning, PhasekitError
 from .series import TimeSeries, load_csv, save_csv, write_numeric_table
 
@@ -294,15 +294,16 @@ def cmd_identify(args) -> dict:
 def cmd_predict(args) -> dict:
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
-    sub = prd.successor_index(emb)
+    sub = successor_index(emb)
     row = emb.n_points - 1
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row],
                               args.n_neighbors, theiler)
     stab = prd.local_stability(emb, nbrs)
     j = prd.composite_J(stab.j1, stab.j2, args.lambda_min)
-    forecast = prd.local_predict(emb, row, args.n_neighbors, theiler, index=sub)
-    # Training residual of the constant local-mean model over the neighbors.
-    e_val = float(np.sum((emb.points[nbrs + 1] - forecast) ** 2))
+    model = prd.fit_predictor(series, emb, nbrs, (), kind="mean",
+                              target_kind="state", index=sub)
+    forecast = model.predict(series, emb, row, index=sub)
+    e_val = prd.e_psi(model, series, emb, nbrs, index=sub)
     chosen = prd.select_prediction([(forecast, e_val)], gate=args.gate)
     gated = j == 0.0 or chosen.gated
     forecast = np.zeros_like(forecast) if gated else chosen.forecast
@@ -491,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full-precision model JSON here")
     p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("predict", help="one-step local-average forecast")
+    p = sub.add_parser("predict", help="one-step forecast: mean successor of "
+                       "the newest point's neighbors, scored by e_psi, gated")
     _add_common(p)
     p.add_argument("--n-neighbors", type=int, default=4)
     p.add_argument("--lambda-min", type=float, default=0.0,

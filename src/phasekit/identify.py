@@ -399,8 +399,8 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
     continuous mode).  A single state gets the input; in a stack only run 0
     does, and the other runs get exact zeros, so each is the free response
     to its initial state.  Every run rounds exactly as it would alone.
-    DivergenceError names the first step at which any single run turns
-    non-finite or its state norm passes 1e12.
+    DivergenceError names the first step, step 0 (x0) included, at which
+    any single run turns non-finite or its state norm passes 1e12.
     """
     x = np.asarray(x0, dtype=float)
     dt = model.dt
@@ -414,9 +414,10 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
         u = padded
     out = np.empty((steps,) + x.shape)
     out[0] = x
-    # Divergence is checked once per block of rows; the steps run past a
-    # diverged row are discarded, so their overflows are not warned about.
+    # Divergence is checked on x0, then once per block of rows; the steps run
+    # past a diverged row are discarded, so their overflows are not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
+        _check_states(out[:1], 0)
         for start in range(1, steps, _CHECK_BLOCK):
             stop = min(start + _CHECK_BLOCK, steps)
             for i in range(start - 1, stop - 1):
@@ -429,13 +430,20 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
                     k4 = _matvec(a, x + dt * k3) + u[2][i]
                     x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 out[i + 1] = x
-            # per run: a nan or inf component makes its norm nan or inf
-            norms = np.linalg.norm(out[start:stop], axis=-1)
-            bad = ~(norms <= _STATE_NORM_LIMIT).reshape(stop - start, -1).all(axis=1)
-            if bad.any():
-                step = start + int(np.argmax(bad))
-                raise DivergenceError(f"model state diverged at step {step}")
+            _check_states(out[start:stop], start)
     return out
+
+
+def _check_states(states: np.ndarray, first_step: int) -> None:
+    """Raise DivergenceError naming the first step at which any run's state
+    is non-finite or its norm passes 1e12.  states: (rows, n) or (rows, c, n),
+    row 0 being step first_step."""
+    # per run: a nan or inf component makes its norm nan or inf
+    norms = np.linalg.norm(states, axis=-1)
+    bad = ~(norms <= _STATE_NORM_LIMIT).reshape(len(states), -1).all(axis=1)
+    if bad.any():
+        raise DivergenceError(
+            f"model state diverged at step {first_step + int(np.argmax(bad))}")
 
 
 def _responses(model: ReducedModel, steps: int, t0: float):
@@ -467,14 +475,12 @@ def _superposed_outputs(model: ReducedModel, forced: np.ndarray,
     """Outputs of the forced run from x0, as forced + sum_i x0_i free_i.
 
     The model is linear, so this equals simulate(model, x0, K) up to
-    rounding.  As in simulate, DivergenceError names the first step after
-    x0 whose state norm passes 1e12 or turns non-finite.
+    rounding.  As in simulate, DivergenceError names the first step, x0's
+    own included, whose state norm passes 1e12 or turns non-finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         states = forced + x0 @ free
-        bad = ~(np.linalg.norm(states[1:], axis=1) <= _STATE_NORM_LIMIT)
-    if bad.any():
-        raise DivergenceError(f"model state diverged at step {1 + int(np.argmax(bad))}")
+        _check_states(states, 0)
     return states @ model.C.T + model.output_offset
 
 
@@ -505,8 +511,9 @@ def simulate(model: ReducedModel, x0, steps: int, t0: float | None = None) -> np
     """Free-run the model; returns (steps, channels) outputs starting at x0.
 
     The first output row corresponds to x0 itself.  Raises DivergenceError
-    naming the step when the state norm passes 1e12, and ConfigError before
-    stepping when the basis overflows within the horizon.
+    naming the step (0 for x0 itself) when the state norm passes 1e12 or
+    turns non-finite, and ConfigError before stepping when the basis
+    overflows within the horizon.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

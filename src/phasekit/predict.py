@@ -6,6 +6,12 @@ the forecast point; the winner is kept only when that error beats a gate.
 Local stability of a neighborhood is the reciprocal of the largest successor
 separation, and the composite criterion keeps the neighborhood size when the
 stability threshold is met.
+
+The CLI's predict command runs one candidate, the mean-state model: the mean
+successor of the newest point's k nearest neighbors outside the Theiler
+window (Farmer & Sidorowich, PRL 59, 1987; Theiler, PRA 34, 1986).  One
+neighbor query gives the rows that train it, score it by e_psi and set its
+local stability; select_prediction and the composite criterion gate it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist
 
-from .embedding import DelayEmbedding, NeighborIndex, successor_index
-from .errors import (ColdStartWarning, ConfigError, DegenerateDataError,
-                     InsufficientDataError, PhasekitError)
+from .embedding import DelayEmbedding, NeighborIndex
+from .errors import (ColdStartWarning, ConfigError, InsufficientDataError,
+                     PhasekitError)
 from .regressors import TrainConfig, train_regressor
 from .series import TimeSeries
 
@@ -198,7 +204,8 @@ def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,
                 raise ConfigError("m3: neighbor ranks are 1-based")
             if index is None:
                 index = NeighborIndex(emb)
-            nbrs, _ = index.query(row, max(lags), theiler)
+            nbrs, _ = index.query_point(emb.points[row], emb.times[row],
+                                        max(lags), theiler)
             picked = [y[int(index.times[nbrs[rank - 1]])] for rank in lags]
             out.append(float(np.mean(picked)))
         else:  # m5
@@ -224,12 +231,6 @@ class PredictorModel:
     feature_spec: tuple
     regressor: object
     target_kind: str = "value"   # "value": next observable; "state": next point
-
-    @property
-    def structure_key(self) -> str:
-        steps = "|".join(f"{m}({','.join(str(v) for v in lags)})"
-                         for m, lags in self.feature_spec)
-        return f"{steps}>{self.regressor.kind}>{self.target_kind}"
 
     def predict(self, series, emb, row, index=None, model_errors=None,
                 theiler=None, channel=0):
@@ -273,31 +274,27 @@ def fit_predictor(series: TimeSeries, emb: DelayEmbedding, rows, spec,
 
 
 def e_psi(model: PredictorModel, series: TimeSeries, emb: DelayEmbedding,
-          row: int, k: int, index: NeighborIndex | None = None,
-          model_errors=None, theiler: int | None = None,
-          channel: int = 0) -> float:
-    """Sum of squared one-step residuals over the k nearest neighbors of row.
+          rows, index: NeighborIndex | None = None, model_errors=None,
+          theiler: int | None = None, channel: int = 0) -> float:
+    """Sum of squared one-step residuals over the given neighbor rows.
 
     Every neighbor's known successor is compared against the model value
-    computed from the neighbor's own features.
+    computed from the neighbor's own features; the residuals of all
+    neighbors are squared and summed in one reduction.  index and theiler
+    serve the features (m3), as in fit_predictor.
     """
-    sub = index or successor_index(emb)
-    if theiler is None:
-        theiler = emb.default_theiler()
-    nbrs, _ = sub.query_point(emb.points[row], emb.times[row], k, theiler)
-    y = series.column(channel)
-    total = 0.0
-    for nbr in nbrs:
-        pred = model.predict(series, emb, int(nbr), index=sub,
-                             model_errors=model_errors, theiler=theiler,
-                             channel=channel)
-        if model.target_kind == "value":
-            actual = y[int(emb.times[nbr]) + 1]
-            total += float(actual - pred) ** 2
-        else:
-            actual = emb.points[int(nbr) + 1]
-            total += float(np.sum((actual - pred) ** 2))
-    return total
+    rows = np.asarray(rows, dtype=int)
+    if rows.size == 0 or np.any(rows + 1 > emb.n_points - 1):
+        raise InsufficientDataError("E_psi needs neighbors that have successors")
+    index = index or NeighborIndex(emb)
+    preds = np.array([model.predict(series, emb, int(row), index=index,
+                                    model_errors=model_errors, theiler=theiler,
+                                    channel=channel) for row in rows])
+    if model.target_kind == "value":
+        actual = series.column(channel)[emb.times[rows] + 1]
+    else:
+        actual = emb.points[rows + 1]
+    return float(np.sum((actual - preds) ** 2))
 
 
 @dataclass(frozen=True)
@@ -379,17 +376,6 @@ def composite_J(j1: float, j2: float, lambda_min: float) -> float:
     return float(j2) if j1 >= lambda_min else 0.0
 
 
-def local_predict(emb: DelayEmbedding, row: int, n_neighbors: int,
-                  theiler: int | None = None,
-                  index: NeighborIndex | None = None) -> np.ndarray:
-    """Mean of the successors of the n nearest admissible neighbors."""
-    if n_neighbors < 1:
-        raise ConfigError("n_neighbors must be >= 1")
-    sub = index or successor_index(emb)
-    nbrs, _ = sub.query_point(emb.points[row], emb.times[row], n_neighbors, theiler)
-    return emb.points[nbrs + 1].mean(axis=0)
-
-
 @dataclass(frozen=True)
 class FeatureTransform:
     """Named map from a raw observable to a derived coordinate series."""
@@ -451,10 +437,6 @@ class StepwiseReport:
     forecast: tuple            # next embedded point, in raw feature units
     configs_evaluated: int
     configs_gated: int
-
-    @property
-    def forecast_value(self) -> float:
-        return self.forecast[0]
 
 
 def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,

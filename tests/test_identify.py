@@ -100,6 +100,17 @@ def test_simulate_divergence_detected():
             pk.simulate(model, [1.0], 400)
 
 
+@pytest.mark.parametrize("x0", [1e13, math.inf])
+def test_simulate_checks_x0_itself(x0):
+    # x0 alone passes the limit; under B = 0.05 step 1 would be back below it
+    model = pk.ReducedModel("discrete", np.array([[0.05]]), np.zeros((1, 0)),
+                            np.eye(1), np.zeros(1), TimeBasis(()), 1.0, 0.0,
+                            None, (0.0,))
+    for steps in (1, 3):
+        with pytest.raises(pk.DivergenceError, match="diverged at step 0$"):
+            pk.simulate(model, [x0], steps)
+
+
 def test_fit_percent_reference_points():
     y = np.array([1.0, 2.0, 3.0])
     assert pk.fit_percent(y, y)[0] == pytest.approx(100.0)
@@ -422,13 +433,22 @@ def test_fit_model_fallback_gives_none_when_first_state_run_diverges():
 
 
 def test_fit_model_fit_is_none_when_the_run_from_x0_passes_the_limit():
-    # the run from x0 (norm about 1e13) passes 1e12 while every member of
-    # the stacked run stays small, as simulate from x0 would report
+    # x0 itself (norm about 1e13) passes 1e12 while every member of the
+    # stacked run stays small, as simulate from x0 reports at step 0
     states = 1e13 * run_discrete(damped_rotation(), np.zeros((2, 0)),
                                  TimeBasis(()), [1.0, 0.3], 40)
     model = pk.fit_model(states, states[:, 0])
-    with pytest.raises(pk.DivergenceError, match="diverged at step 1$"):
+    with pytest.raises(pk.DivergenceError, match="diverged at step 0$"):
         pk.simulate(model, pk.estimate_x0(model, states[:, 0]), 40)
+    assert model.fit is None
+
+
+def test_fit_model_fit_is_none_when_only_x0_passes_the_limit():
+    # under B = 0.05 the run from x0 (about 1e13) is below 1e12 from step 1
+    states = 1e13 * 0.05 ** np.arange(20.0)[:, None]
+    model = pk.fit_model(states, states[:, 0])
+    with pytest.raises(pk.DivergenceError, match="diverged at step 0$"):
+        pk.simulate(model, pk.estimate_x0(model, states[:, 0]), 20)
     assert model.fit is None
 
 

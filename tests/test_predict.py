@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 import phasekit as pk
+from phasekit.embedding import successor_index
 from phasekit.predict import (ColdStartWarning, PredictorModel,
                               _successor_stability, layout_mask,
-                              step_sign_feature, successor_index,
-                              value_feature)
+                              step_sign_feature, value_feature)
 from phasekit.regressors import LinearRegressor
 
 
@@ -189,7 +189,7 @@ def test_e_psi_squared_residuals():
     emb = pk.embed(series, 1, 1)
     model = constant_predictor(1.0)
     # neighbor successors 1.3 and 1.4 against constant forecast 1.0
-    val = pk.e_psi(model, series, emb, row=4, k=2)
+    val = pk.e_psi(model, series, emb, [0, 2])
     assert val == pytest.approx(0.3 ** 2 + 0.4 ** 2, abs=1e-12)
 
 
@@ -199,7 +199,10 @@ def test_e_psi_zero_for_exact_model():
     emb = pk.embed(series, 1, 1)
     exact = PredictorModel((("m1", (0,)),),
                            LinearRegressor(np.array([[1.0], [1.0]])), "value")
-    assert pk.e_psi(exact, series, emb, row=20, k=4) == pytest.approx(0.0)
+    nbrs, _ = successor_index(emb).query(20, 4)
+    assert pk.e_psi(exact, series, emb, nbrs) == pytest.approx(0.0)
+    with pytest.raises(pk.InsufficientDataError):
+        pk.e_psi(exact, series, emb, [29])  # the last row has no successor
 
 
 def test_select_prediction_ranking_and_gate():
@@ -270,15 +273,47 @@ def test_composite_j_binary(j1, j2, lam):
     assert pk.composite_J(j1, j2, lam) in (0.0, j2)
 
 
-def test_local_predict_mean_of_successors():
+def _mean_state_forecast(series, emb, row, k):
+    sub = successor_index(emb)
+    nbrs, _ = sub.query_point(emb.points[row], emb.times[row], k)
+    model = pk.fit_predictor(series, emb, nbrs, (), kind="mean",
+                             target_kind="state", index=sub)
+    return model, nbrs, model.predict(series, emb, row, index=sub)
+
+
+def test_mean_state_model_mean_of_successors():
     series = pk.TimeSeries(np.array(NEIGHBOR_SERIES))
     emb = pk.embed(series, 1, 1)
-    out = pk.local_predict(emb, 4, n_neighbors=2)
+    model, _, out = _mean_state_forecast(series, emb, 4, 2)
+    assert isinstance(model.regressor, pk.MeanRegressor)
     np.testing.assert_allclose(out, [(1.3 + 1.4) / 2])
-    single = pk.local_predict(emb, 4, n_neighbors=1)
+    _, _, single = _mean_state_forecast(series, emb, 4, 1)
     np.testing.assert_allclose(single, [1.3])  # tie resolved to row 0
-    with pytest.raises(pk.ConfigError):
-        pk.local_predict(emb, 4, n_neighbors=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        _mean_state_forecast(series, emb, 4, 0)
+
+
+def _seeded_series(name, steps, seed):
+    system = pk.catalog(name)
+    rng = np.random.default_rng(seed)
+    x0 = np.asarray(system.x0_default, dtype=float)
+    x0 = x0 * (1.0 + 1e-3 * rng.standard_normal(x0.shape))
+    return pk.TimeSeries(pk.sample(system, steps, x0=x0)[:, :1])
+
+
+@pytest.mark.parametrize("name, steps, m, tau", [
+    ("henon", 2000, 2, 1), ("lorenz", 3000, 3, 17), ("rossler", 2000, 3, 8)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", [4, 10])
+def test_mean_state_model_equals_the_inline_local_mean(name, steps, m, tau, seed, k):
+    # the forecast and E_psi of the local-average predictor, written out
+    series = _seeded_series(name, steps, seed)
+    emb = pk.embed(series, m, tau)
+    row = emb.n_points - 1
+    model, nbrs, forecast = _mean_state_forecast(series, emb, row, k)
+    assert np.array_equal(forecast, emb.points[nbrs + 1].mean(axis=0))
+    inline = float(np.sum((emb.points[nbrs + 1] - forecast) ** 2))
+    assert pk.e_psi(model, series, emb, nbrs, index=successor_index(emb)) == inline
 
 
 def test_successor_index_excludes_last_row():
@@ -377,3 +412,13 @@ def test_fit_predictor_linear_pipeline():
                                      kind="linear")
     pred = model.predict(series, emb, 100)
     assert pred == pytest.approx(values[int(emb.times[100]) + 1], abs=1e-6)
+
+
+def test_m3_feature_at_the_forecast_row_of_a_successor_index():
+    series = pk.TimeSeries(np.sin(0.3 * np.arange(200.0)))
+    emb = pk.embed(series, 2, 1)
+    sub = successor_index(emb)
+    row = emb.n_points - 1   # left out of the successor index
+    out = pk.preprocess_features(series, emb, row, [("m3", (1, 2))], index=sub)
+    nbrs, _ = sub.query_point(emb.points[row], emb.times[row], 2)
+    assert out[0] == np.mean(series.column(0)[emb.times[nbrs]])
