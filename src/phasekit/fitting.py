@@ -34,17 +34,19 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Ordinary least-squares line fit; returns (slope, intercept, stderr).
 
     stderr is the standard error of the slope; 0.0 when only 2 points are given.
+    Fewer than 2 points, or all x equal, raise ScalingRegionError: no line
+    fits there, a failed computation rather than a bad argument.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
     if n < 2:
-        raise ValueError("need at least 2 points for a line fit")
+        raise ScalingRegionError("need at least 2 points for a line fit")
     xm = x.mean()
     ym = y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     if sxx == 0.0:
-        raise ValueError("degenerate abscissa: all x equal")
+        raise ScalingRegionError("degenerate abscissa: all x equal")
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = ym - slope * xm
     if n == 2:

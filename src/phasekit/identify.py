@@ -5,6 +5,13 @@ observation    y(t)   = C x(t) + y0,
 with phi a small catalog of explicit time functions (powers, sinusoids,
 exponentials).  States come from a PCA projection of the centered embedding;
 all parameter blocks are fitted by least squares.
+
+Free runs use the model's linearity: every step is x_{j+1} = Phi x_j + g_j,
+with Phi = B (discrete) or the RK4 step matrix of A (continuous) and g_j the
+step's input term.  The run is propagated in closed form in blocks of 64 rows
+(a prefix scan; Blelloch, CMU-CS-90-190, 1990) instead of one step at a time,
+so its rounding differs from per-step RK4: on stable models the states stay
+within 1e-12 of the run's largest |state|.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from .errors import (ConfigError, DegenerateDataError, DivergenceError,
                      InsufficientDataError)
 
 _STATE_NORM_LIMIT = 1e12
-# Rows stepped between two divergence checks of a free run.
-_CHECK_BLOCK = 64
+# Rows propagated from one block start of a free run (see _state_run).
+_BLOCK = 64
 _MAX_POLY_DEGREE = 8
 
 
@@ -308,9 +315,10 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
     regressor block raises, naming the cure (fewer basis terms or lower n).
 
     The fit is taken on the free run from the least-squares x0.  One stacked
-    run gives both x0 (bit-equal to estimate_x0) and, by superposition,
-    that free run as forced + sum_i x0_i free_i, so fit lies within rel
-    1e-12 of fit_percent(outputs, simulate(model, x0, K)).  fit is None
+    run, propagated in closed form in 64-row blocks of Phi (_state_run),
+    gives both x0 (bit-equal to estimate_x0) and, by superposition, that
+    free run as forced + sum_i x0_i free_i, so fit lies within rel 1e-12 of
+    fit_percent(outputs, simulate(model, x0, K)).  fit is None
     where that run's state norm passes 1e12.  When the stacked run diverges
     or its least squares fails, the fit falls back to simulate from the
     first state, and is None if that diverges too.
@@ -382,56 +390,98 @@ def fit_model(states: np.ndarray, outputs, basis: TimeBasis | None = None,
                         fit=fp, residual_rms=rms)
 
 
-def _matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mat @ v for one vector v or for each row v of a stack.
+def _apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mat @ v for every vector v along the first axis of vecs: (n, m) with
+    (m, ...) gives (n, ...).
 
-    Each row rounds exactly as mat @ v alone would; the matrix product
-    vecs @ mat.T takes a different kernel whose rounding can differ.
+    The m products are added one coordinate at a time, left to right, so each
+    vector rounds alike wherever it sits in a stack; a matrix product would
+    pick its kernel, and so its rounding, by the stack's shape.
     """
-    return (mat @ vecs[..., None])[..., 0]
+    cols = mat.reshape(mat.shape + (1,) * (vecs.ndim - 1))
+    out = np.zeros(mat.shape[:1] + vecs.shape[1:])
+    for k in range(vecs.shape[0]):
+        out += cols[:, k] * vecs[k]
+    return out
+
+
+def _rk4_step(a: np.ndarray, dt: float, x: np.ndarray, u) -> np.ndarray:
+    """One RK4 step of dx/dt = a x + u(t) for every vector along the first
+    axis of x; u holds the input at the step's start, middle and end."""
+    k1 = _apply(a, x) + u[0]
+    k2 = _apply(a, x + 0.5 * dt * k1) + u[1]
+    k3 = _apply(a, x + 0.5 * dt * k2) + u[1]
+    k4 = _apply(a, x + dt * k3) + u[2]
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
     """Propagate one forced run (n,) or a stack (c, n) of runs side by side.
 
-    Returns (steps, n) or (steps, c, n), row 0 being x0.  The input P phi(t)
-    is evaluated once on the step grid (and on the RK4 half and end points in
-    continuous mode).  A single state gets the input; in a stack only run 0
-    does, and the other runs get exact zeros, so each is the free response
-    to its initial state.  Every run rounds exactly as it would alone.
-    DivergenceError names the first step, step 0 (x0) included, at which
-    any single run turns non-finite or its state norm passes 1e12.
+    Returns (steps, n) or (steps, c, n), row 0 being x0.  A single state gets
+    the input; in a stack only run 0 does, and the other runs are the free
+    responses to their initial states.
+
+    The model is linear in (x, input), so each step is x_{j+1} = Phi x_j + g_j.
+    In discrete mode Phi = B and g_j = P phi(t_j).  In continuous mode Phi is
+    the zero-input RK4 step applied to I, that is I + hA + (hA)^2/2 +
+    (hA)^3/6 + (hA)^4/24, and g_j is the RK4 step from 0 with the input,
+    evaluated for every j at once on the step grid and the RK4 half and end
+    points.  The rows come in blocks of 64: Phi^1..Phi^64 are formed once, a
+    Hillis-Steele scan (spans 1, 2, ..., 32) gives every block's forced
+    partial sums s_r at once, only the block starts are stepped in turn (by
+    Phi^64), and every row is filled as Phi^r x_start + s_r.  Whole-horizon
+    powers would overflow on an unstable mode and turn bounded runs into nan
+    (inf * 0); within a block the largest power is Phi^64.
+
+    Rounding differs from stepping row by row; on stable models the states
+    stay within 1e-12 of the run's largest |state| (3e-15 on random stable
+    models, 3e-13 on the Lorenz model of the benchmark).  Products are
+    summed per coordinate (_apply), so every run of a stack is bit-equal to
+    its run alone.  DivergenceError names the first step, step 0 (x0)
+    included, at which any single run turns non-finite or its state norm
+    passes 1e12.
     """
     x = np.asarray(x0, dtype=float)
-    dt = model.dt
-    a = model.dynamics
+    n, dt, a = model.n_states, model.dt, model.dynamics
+    runs = x.reshape(-1, n).T                    # (n, c): run 0 is forced
     t = t0 + dt * np.arange(steps - 1)
-    grids = (t,) if model.mode == "discrete" else (t, t + 0.5 * dt, t + dt)
-    u = [_matvec(model.psi_coeffs, model.basis.evaluate(g)) for g in grids]
-    if x.ndim == 2:
-        padded = np.zeros((len(grids), steps - 1) + x.shape)
-        padded[:, :, 0] = u
-        u = padded
-    out = np.empty((steps,) + x.shape)
-    out[0] = x
-    # Divergence is checked on x0, then once per block of rows; the steps run
-    # past a diverged row are discarded, so their overflows are not warned about.
+    if model.mode == "discrete":
+        step = a
+        g = _apply(model.psi_coeffs, model.basis.evaluate(t).T)
+    else:
+        u = [_apply(model.psi_coeffs, model.basis.evaluate(s).T)
+             for s in (t, t + 0.5 * dt, t + dt)]
+        step = _rk4_step(a, dt, np.eye(n), (0.0, 0.0, 0.0))
+        g = _rk4_step(a, dt, np.zeros_like(u[0]), u)
+    blocks = -(-(steps - 1) // _BLOCK)
+    # Rows past a diverged one are discarded, so their overflows (and the
+    # nan of inf * 0) are not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_states(out[:1], 0)
-        for start in range(1, steps, _CHECK_BLOCK):
-            stop = min(start + _CHECK_BLOCK, steps)
-            for i in range(start - 1, stop - 1):
-                if model.mode == "discrete":
-                    x = _matvec(a, x) + u[0][i]
-                else:
-                    k1 = _matvec(a, x) + u[0][i]
-                    k2 = _matvec(a, x + 0.5 * dt * k1) + u[1][i]
-                    k3 = _matvec(a, x + 0.5 * dt * k2) + u[1][i]
-                    k4 = _matvec(a, x + dt * k3) + u[2][i]
-                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out[i + 1] = x
-            _check_states(out[start:stop], start)
-    return out
+        powers = step[None]                      # powers[r - 1] = Phi^r
+        while len(powers) < _BLOCK:
+            powers = np.concatenate([powers, powers[-1] @ powers])
+        sums = np.zeros((n, blocks * _BLOCK))
+        sums[:, :steps - 1] = g
+        sums = sums.reshape(n, blocks, _BLOCK)
+        span = 1
+        while span < _BLOCK:
+            sums[:, :, span:] += _apply(powers[span - 1], sums[:, :, :-span])
+            span *= 2
+        starts = np.empty((n, blocks) + runs.shape[1:])
+        starts[:, :1] = runs[:, None]
+        for b in range(1, blocks):
+            starts[:, b] = _apply(powers[-1], starts[:, b - 1])
+            starts[:, b, 0] += sums[:, b - 1, -1]
+        # rows (r, i, block, run): coordinate i of Phi^r x_start, plus s_r
+        rows = _apply(powers.reshape(-1, n), starts).reshape(
+            _BLOCK, n, blocks, runs.shape[1])
+        rows[..., 0] += sums.transpose(2, 0, 1)
+        out = np.empty((steps,) + runs.shape[::-1])
+        out[0] = runs.T
+        out[1:] = rows.transpose(2, 0, 3, 1).reshape(-1, *out.shape[1:])[:steps - 1]
+        _check_states(out, 0)
+    return out.reshape((steps,) + x.shape)
 
 
 def _check_states(states: np.ndarray, first_step: int) -> None:
@@ -490,11 +540,12 @@ def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.nda
     The model output is affine in the initial state (superposition), so the
     best x0 follows from the forced run started at zero plus the unforced
     runs from the unit initial states e_i (Ljung, System Identification,
-    2nd ed., 1999).  All n + 1 runs step together as one stack; each rounds
-    as it would alone, so x0 is bit-equal to taking the runs one by one.
-    This keeps the evaluation from penalising directions the data never
-    excited.  DivergenceError names the first step at which any run of the
-    stack diverges.
+    2nd ed., 1999).  This keeps the evaluation from penalising directions
+    the data never excited.  All n + 1 runs are propagated together as one
+    stack, in closed form in 64-row blocks of the step matrix Phi
+    (_state_run); each rounds as it would alone, so x0 is bit-equal to
+    taking the runs one by one.  DivergenceError names the first step at
+    which any run of the stack diverges.
     """
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
@@ -510,10 +561,13 @@ def estimate_x0(model: ReducedModel, outputs, t0: float | None = None) -> np.nda
 def simulate(model: ReducedModel, x0, steps: int, t0: float | None = None) -> np.ndarray:
     """Free-run the model; returns (steps, channels) outputs starting at x0.
 
-    The first output row corresponds to x0 itself.  Raises DivergenceError
-    naming the step (0 for x0 itself) when the state norm passes 1e12 or
-    turns non-finite, and ConfigError before stepping when the basis
-    overflows within the horizon.
+    The first output row corresponds to x0 itself.  The states are
+    propagated in closed form, x_{j+1} = Phi x_j + g_j in 64-row blocks
+    (_state_run).  On stable models they lie within 1e-12 of the largest
+    |state| of a per-step run, but are not bit-equal to it.  Raises
+    DivergenceError naming the step (0 for x0 itself) when the state norm
+    passes 1e12 or turns non-finite, and ConfigError before propagating when
+    the basis overflows within the horizon.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

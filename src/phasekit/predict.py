@@ -243,15 +243,28 @@ class PredictorModel:
         return np.asarray(pred)
 
 
+def _feature_index(emb: DelayEmbedding, spec,
+                   index: NeighborIndex | None) -> NeighborIndex | None:
+    """index, or one NeighborIndex(emb) for all rows when spec has an m3
+    feature and no index is given; None when no feature queries neighbors."""
+    if index is None and any(method == "m3" for method, _ in spec):
+        index = NeighborIndex(emb)
+    return index
+
+
 def fit_predictor(series: TimeSeries, emb: DelayEmbedding, rows, spec,
                   kind: str = "linear", target_kind: str = "value",
                   config: TrainConfig | None = None,
                   index: NeighborIndex | None = None, model_errors=None,
                   theiler: int | None = None, channel: int = 0) -> PredictorModel:
-    """Train a predictor on the given embedding rows (each needs a successor)."""
+    """Train a predictor on the given embedding rows (each needs a successor).
+
+    index serves the m3 features; without one, a single NeighborIndex(emb)
+    is built for all rows, and only when spec has an m3 feature.
+    """
     if target_kind not in ("value", "state"):
         raise ConfigError(f"unknown target kind {target_kind!r}")
-    index = index or NeighborIndex(emb)
+    index = _feature_index(emb, spec, index)
     feats = []
     targets = []
     y = series.column(channel)
@@ -286,7 +299,7 @@ def e_psi(model: PredictorModel, series: TimeSeries, emb: DelayEmbedding,
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0 or np.any(rows + 1 > emb.n_points - 1):
         raise InsufficientDataError("E_psi needs neighbors that have successors")
-    index = index or NeighborIndex(emb)
+    index = _feature_index(emb, model.feature_spec, index)
     preds = np.array([model.predict(series, emb, int(row), index=index,
                                     model_errors=model_errors, theiler=theiler,
                                     channel=channel) for row in rows])

@@ -190,3 +190,13 @@ def test_generalized_dimension_counts_points_on_an_unsorted_grid():
     assert est.window == (float(inside[0]), float(inside[-1]))
     ordered = pk.generalized_dimension(data, 0.0, epsilons=eps, fit_range=fit_range)
     assert est.value == pytest.approx(ordered.value, rel=1e-12)
+
+
+def test_fit_slope_with_fewer_than_two_points_is_a_scaling_region_error():
+    with pytest.raises(pk.ScalingRegionError, match="at least 2 points"):
+        pk.fit_slope(np.array([1.0]), np.array([2.0]))
+
+
+def test_fit_slope_on_equal_abscissas_is_a_scaling_region_error():
+    with pytest.raises(pk.ScalingRegionError, match="all x equal"):
+        pk.fit_slope(np.full(4, 0.5), np.arange(4.0))

@@ -465,3 +465,59 @@ def test_projection_record_round_trip(values, m, tau, n):
     np.testing.assert_allclose(record.inverse(states), emb.points, atol=1e-9)
     np.testing.assert_allclose(record.transform(record.inverse(states)), states,
                                atol=1e-12)
+
+
+def _unit_output(model):
+    # C = I and no offset, so simulate returns the states themselves
+    n = model.n_states
+    return dataclasses.replace(model, C=np.eye(n), output_offset=np.zeros(n))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blocked_run_matches_the_per_step_reference(mode, n):
+    # 5 000 steps span 79 blocks of 64 rows; the closed form rounds
+    # differently from stepping, but stays within 1e-12 of the largest state
+    model = _unit_output(_random_stable_model(10 + n, mode, n))
+    x0 = np.random.default_rng(n).normal(size=n)
+    steps = 5000
+    if mode == "discrete":
+        ref = run_discrete(model.dynamics, model.psi_coeffs, model.basis, x0,
+                           steps, model.dt, model.t0)
+    else:
+        ref = _rk4_reference(model, x0, steps)
+    got = pk.simulate(model, x0, steps)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_member_is_bit_equal_to_its_run_alone(mode, n):
+    model = _random_stable_model(20 + n, mode, n)
+    unforced = dataclasses.replace(model,
+                                   psi_coeffs=np.zeros_like(model.psi_coeffs))
+    stack = np.random.default_rng(n).normal(size=(3, n))
+    runs = _state_run(model, stack, 300, model.t0)
+    np.testing.assert_array_equal(runs[:, 0], _state_run(model, stack[0], 300, model.t0))
+    for i in (1, 2):
+        np.testing.assert_array_equal(
+            runs[:, i], _state_run(unforced, stack[i], 300, model.t0))
+
+
+@pytest.mark.parametrize("mode, dyn, dt, steps", [
+    ("discrete", [0.5, 2.0], 1.0, 2000),
+    ("continuous", [-0.5, 10.0], 0.05, 3000),
+], ids=["discrete", "continuous"])
+def test_unstable_mode_left_unexcited_stays_bounded(mode, dyn, dt, steps):
+    # the growing mode's power over the whole horizon overflows (2**2000,
+    # 1.65**3000), and inf * 0 would turn the run to nan; within a block of
+    # 64 rows it stays finite, so the run from (1, 0) decays as it should
+    model = pk.ReducedModel(mode, np.diag(dyn), np.zeros((2, 0)), np.eye(2),
+                            np.zeros(2), TimeBasis(()), dt, 0.0, None, (0.0,))
+    states = pk.simulate(model, [1.0, 0.0], steps)
+    assert np.all(np.isfinite(states))
+    np.testing.assert_array_equal(states[:, 1], 0.0)
+    h = dt * dyn[0]   # the decaying mode's factor per step: B, or RK4's
+    rate = dyn[0] if mode == "discrete" else 1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24
+    np.testing.assert_allclose(states[:, 0], rate ** np.arange(steps), rtol=1e-12)
+    assert states[-1, 0] < states[0, 0]

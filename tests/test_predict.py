@@ -422,3 +422,25 @@ def test_m3_feature_at_the_forecast_row_of_a_successor_index():
     out = pk.preprocess_features(series, emb, row, [("m3", (1, 2))], index=sub)
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row], 2)
     assert out[0] == np.mean(series.column(0)[emb.times[nbrs]])
+
+
+@pytest.mark.parametrize("spec, builds", [
+    ([("m1", (0, 1))], 0),
+    ([("m1", (0,)), ("m3", (1, 2))], 1),
+], ids=["no-m3", "m3"])
+def test_fit_predictor_and_e_psi_build_one_index_only_for_m3(monkeypatch, spec, builds):
+    series = pk.TimeSeries(np.sin(0.3 * np.arange(300.0)))
+    emb = pk.embed(series, 2, 1)
+    calls = []
+    init = pk.NeighborIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pk.NeighborIndex, "__init__", counted)
+    rows = range(100, 110)
+    model = pk.fit_predictor(series, emb, rows, spec, kind="linear")
+    assert len(calls) == builds
+    pk.e_psi(model, series, emb, rows)
+    assert len(calls) == 2 * builds
