@@ -432,7 +432,9 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
     partial sums s_r at once, only the block starts are stepped in turn (by
     Phi^64), and every row is filled as Phi^r x_start + s_r.  Whole-horizon
     powers would overflow on an unstable mode and turn bounded runs into nan
-    (inf * 0); within a block the largest power is Phi^64.
+    (inf * 0); within a block the largest power is Phi^64, so only a mode
+    growing by more than about 6e4 per step does that (a run from (1, 0)
+    under B = diag(0.5, 1e6) raises at step 52, where stepping stays finite).
 
     Rounding differs from stepping row by row; on stable models the states
     stay within 1e-12 of the run's largest |state| (3e-15 on random stable
@@ -480,20 +482,20 @@ def _state_run(model: ReducedModel, x0, steps: int, t0: float) -> np.ndarray:
         out = np.empty((steps,) + runs.shape[::-1])
         out[0] = runs.T
         out[1:] = rows.transpose(2, 0, 3, 1).reshape(-1, *out.shape[1:])[:steps - 1]
-        _check_states(out, 0)
+        _check_states(out)
     return out.reshape((steps,) + x.shape)
 
 
-def _check_states(states: np.ndarray, first_step: int) -> None:
+def _check_states(states: np.ndarray) -> None:
     """Raise DivergenceError naming the first step at which any run's state
-    is non-finite or its norm passes 1e12.  states: (rows, n) or (rows, c, n),
-    row 0 being step first_step."""
+    is non-finite or its norm passes 1e12.  states: (steps, n) or
+    (steps, c, n), row 0 being step 0."""
     # per run: a nan or inf component makes its norm nan or inf
     norms = np.linalg.norm(states, axis=-1)
     bad = ~(norms <= _STATE_NORM_LIMIT).reshape(len(states), -1).all(axis=1)
     if bad.any():
         raise DivergenceError(
-            f"model state diverged at step {first_step + int(np.argmax(bad))}")
+            f"model state diverged at step {int(np.argmax(bad))}")
 
 
 def _responses(model: ReducedModel, steps: int, t0: float):
@@ -530,7 +532,7 @@ def _superposed_outputs(model: ReducedModel, forced: np.ndarray,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         states = forced + x0 @ free
-        _check_states(states, 0)
+        _check_states(states)
     return states @ model.C.T + model.output_offset
 
 

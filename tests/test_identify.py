@@ -467,18 +467,14 @@ def test_projection_record_round_trip(values, m, tau, n):
                                atol=1e-12)
 
 
-def _unit_output(model):
-    # C = I and no offset, so simulate returns the states themselves
-    n = model.n_states
-    return dataclasses.replace(model, C=np.eye(n), output_offset=np.zeros(n))
-
-
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blocked_run_matches_the_per_step_reference(mode, n):
     # 5 000 steps span 79 blocks of 64 rows; the closed form rounds
     # differently from stepping, but stays within 1e-12 of the largest state
-    model = _unit_output(_random_stable_model(10 + n, mode, n))
+    # C = I and no offset, so simulate returns the states themselves
+    model = dataclasses.replace(_random_stable_model(10 + n, mode, n), C=np.eye(n),
+                                output_offset=np.zeros(n))
     x0 = np.random.default_rng(n).normal(size=n)
     steps = 5000
     if mode == "discrete":
