@@ -9,9 +9,10 @@ significant digits; rerunning any command with the same inputs and seed
 yields byte-identical JSON.  Exit codes: 0 success, 1 computation failure,
 2 usage error (bad flags, missing files).
 
-Randomness is confined to the --seed flag (default DEFAULT_SEED = 0).  The
-PHASEKIT_OUT_DIR environment variable, when set, prefixes relative output
-paths.
+Randomness is confined to simulate's --seed flag (default DEFAULT_SEED = 0),
+which seeds its --noise; no other command draws random numbers, so no other
+command takes a seed.  The PHASEKIT_OUT_DIR environment variable, when set,
+prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import predict as prd
 from . import systems
 from .embedding import (embed, embedding_to_series, mutual_information_profile,
                         select_delay, successor_index)
-from .errors import DegenerateDataError, NoInteriorMinimumWarning, PhasekitError
+from .errors import NoInteriorMinimumWarning, PhasekitError
 from .series import TimeSeries, load_csv, save_csv, write_numeric_table
 
 DEFAULT_SEED = 0
@@ -233,15 +234,9 @@ def cmd_lyapunov(args) -> dict:
         if args.method == "rosenstein":
             curve = lyap.rosenstein_curve(emb, args.horizon, theiler=theiler)
         else:
-            if eps0 is None:
-                diameter = dim.data_diameter(emb.points)
-                if diameter == 0.0:
-                    raise DegenerateDataError(
-                        "all embedded points coincide; the default eps0 "
-                        "(1% of the diameter) would be 0")
-                eps0 = 0.01 * diameter
-            curve = lyap.kantz_curve(emb, eps0, args.horizon, theiler=theiler,
+            curve = lyap.kantz_curve(emb, args.eps0, args.horizon, theiler=theiler,
                                      n_refs=args.n_refs)
+            eps0 = curve.eps0
         rate = lyap.divergence_rate(curve, fit_range=_fit_range(args))
         if args.curve_out:
             write_numeric_table(_resolve_out(args.curve_out),
@@ -294,10 +289,9 @@ def cmd_identify(args) -> dict:
 def cmd_predict(args) -> dict:
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
-    sub = successor_index(emb)
+    sub = successor_index(emb, 1, theiler)
     row = emb.n_points - 1
-    nbrs, _ = sub.query_point(emb.points[row], emb.times[row],
-                              args.n_neighbors, theiler)
+    nbrs, _ = sub.query_point(emb.points[row], emb.times[row], args.n_neighbors)
     stab = prd.local_stability(emb, nbrs)
     j = prd.composite_J(stab.j1, stab.j2, args.lambda_min)
     model = prd.fit_predictor(series, emb, nbrs, (), kind="mean",
@@ -390,8 +384,6 @@ def _add_common(p, with_embedding=True):
         p.add_argument("--channel", type=int, default=None,
                        help="embed one channel of the input (default: all)")
     p.add_argument("--out", default=None, help="write the JSON result here")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed for all randomness (default {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian observation noise (std dev)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed for all randomness (default {DEFAULT_SEED})")
+                   help=f"seed of the --noise draws (default {DEFAULT_SEED})")
     p.add_argument("--out", required=True, help="CSV destination")
     p.set_defaults(func=cmd_simulate)
 
@@ -521,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum-out", default=None,
                    help="write the raw spectrum CSV here")
     p.add_argument("--out", default=None, help="write the JSON result here")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed for all randomness (default {DEFAULT_SEED})")
     p.set_defaults(func=cmd_symmetry)
 
     return parser

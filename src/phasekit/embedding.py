@@ -174,13 +174,16 @@ class NeighborIndex:
     """k-d tree over embedding rows with temporal (Theiler) exclusion.
 
     A row is admissible for a query at time t when its time lies more than
-    theiler from t.  Neighbor order is (distance, row index) ascending, with
-    distances recomputed in numpy, so results coincide exactly with a
-    brute-force scan, ties included.
+    theiler from t (Theiler, PRA 34, 1986).  The window is fixed when the
+    index is built and every query applies it: None means the embedding's
+    own window (DelayEmbedding.default_theiler()), or 0 for a raw point
+    array; a negative one raises ValueError.  Neighbor order is (distance,
+    row index) ascending, with distances recomputed in numpy, so results
+    coincide exactly with a brute-force scan, ties included.
 
-    query_point, query and knn_many all run one batched routine.  It asks the
-    tree once for each query point's pool, its k + 2*theiler + 2 nearest rows
-    in tree order, and finishes each point in one of three ways:
+    query_point and knn_many run one batched routine.  It asks the tree once
+    for each query point's pool, its k + 2*theiler + 2 nearest rows in tree
+    order, and finishes each point in one of three ways:
     - the cut is clear: the pool holds a (k+1)-th admissible row farther than
       the k-th by more than the tree slack, or it covers every row and holds
       exactly k admissible ones.  The first k admissible rows in (numpy
@@ -194,15 +197,10 @@ class NeighborIndex:
       this happens only when times repeat or the pool covers every row.
     Every distance comes from row_distances, bit-equal to a brute-force scan.
     A point with fewer than k admissible rows in all raises
-    InsufficientDataError; k < 1 or theiler < 0 raise ValueError.
-
-    default_theiler is the exclusion window used by queries that pass no
-    theiler of their own.  An explicit value always wins; None means the
-    embedding's own window (DelayEmbedding.default_theiler()), or 0 for a raw
-    point array.
+    InsufficientDataError; k < 1 raises ValueError.
     """
 
-    def __init__(self, emb_or_points, times=None, default_theiler: int | None = None):
+    def __init__(self, emb_or_points, times=None, theiler: int | None = None):
         if isinstance(emb_or_points, DelayEmbedding):
             self.points = emb_or_points.points
             self.times = emb_or_points.times
@@ -212,34 +210,27 @@ class NeighborIndex:
             self.times = (np.arange(self.points.shape[0])
                           if times is None else np.asarray(times))
             own_window = 0
-        self.default_theiler = own_window if default_theiler is None else default_theiler
+        self.theiler = own_window if theiler is None else theiler
+        if self.theiler < 0:
+            raise ValueError(f"theiler must be >= 0, got {self.theiler}")
         self.n = self.points.shape[0]
         self.tree = cKDTree(self.points)
-
-    def _window(self, theiler: int | None) -> int:
-        if theiler is None:
-            theiler = self.default_theiler
-        if theiler < 0:
-            raise ValueError(f"theiler must be >= 0, got {theiler}")
-        return theiler
 
     def _order(self, query_point: np.ndarray, indices: np.ndarray):
         d = row_distances(self.points, indices, query_point)
         order = np.lexsort((indices, d))
         return indices[order], d[order]
 
-    def _knn(self, points: np.ndarray, times: np.ndarray, k: int,
-             theiler: int | None):
+    def _knn(self, points: np.ndarray, times: np.ndarray, k: int):
         """The k nearest admissible rows of each query point at its time."""
-        theiler = self._window(theiler)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         n_q = points.shape[0]
-        pool = min(self.n, k + 2 * theiler + 2)
+        pool = min(self.n, k + 2 * self.theiler + 2)
         tree_d, idx = self.tree.query(points, k=pool)
         tree_d = tree_d.reshape(n_q, pool)
         idx = idx.reshape(n_q, pool)
-        adm = np.abs(self.times[idx] - times[:, None]) > theiler
+        adm = np.abs(self.times[idx] - times[:, None]) > self.theiler
         count = adm.sum(axis=1)
         # Pool columns of the first k+1 admissible candidates, in tree order.
         cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
@@ -264,10 +255,10 @@ class NeighborIndex:
                 d[unsorted] = np.take_along_axis(d[unsorted], order, axis=1)
             out_idx[full], out_d[full] = cand, d
         for i in np.flatnonzero(full & ~clear):
-            ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1], theiler)
+            ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1])
             out_idx[i], out_d[i] = ball[:k], ball_d[:k]
         for i in np.flatnonzero(~full):
-            ranked, ranked_d = self.ranked(points[i], times[i], theiler)
+            ranked, ranked_d = self.ranked(points[i], times[i])
             if ranked.size < k:
                 raise InsufficientDataError(
                     f"only {ranked.size} admissible neighbors near time {times[i]} "
@@ -275,55 +266,46 @@ class NeighborIndex:
             out_idx[i], out_d[i] = ranked[:k], ranked_d[:k]
         return out_idx, out_d
 
-    def query_point(self, point: np.ndarray, time, k: int,
-                    theiler: int | None = None):
-        """k nearest rows admissible w.r.t. an explicit query time."""
+    def query_point(self, point: np.ndarray, time, k: int):
+        """k nearest rows admissible w.r.t. an explicit query time; returns
+        (indices, distances)."""
         idx, d = self._knn(np.asarray(point, dtype=float)[None, :],
-                           np.asarray([time]), k, theiler)
+                           np.asarray([time]), k)
         return idx[0], d[0]
 
-    def query(self, row: int, k: int, theiler: int | None = None):
-        """k nearest admissible rows; returns (indices, distances)."""
-        return self.query_point(self.points[row], self.times[row], k, theiler)
-
-    def knn_many(self, rows, k: int, theiler: int | None = None):
-        """query(row, k, theiler) for every row at once.
+    def knn_many(self, rows, k: int):
+        """query_point at every given row's own point and time, at once.
 
         Returns (indices, distances), each of shape (len(rows), k).
         """
         rows = np.asarray(rows, dtype=int)
-        return self._knn(self.points[rows], self.times[rows], k, theiler)
+        return self._knn(self.points[rows], self.times[rows], k)
 
-    def ranked(self, point: np.ndarray, time, theiler: int | None = None):
+    def ranked(self, point: np.ndarray, time):
         """Every row admissible w.r.t. an explicit time, nearest first: the
         candidates of searches that filter neighbors by more than distance."""
-        theiler = self._window(theiler)
         q = np.asarray(point, dtype=float)
-        return self._order(q, np.flatnonzero(np.abs(self.times - time) > theiler))
+        return self._order(q, np.flatnonzero(np.abs(self.times - time) > self.theiler))
 
-    def radius_point(self, point: np.ndarray, time, eps: float,
-                     theiler: int | None = None):
+    def radius_point(self, point: np.ndarray, time, eps: float):
         """All rows within eps (inclusive) admissible w.r.t. an explicit time."""
-        theiler = self._window(theiler)
         q = np.asarray(point, dtype=float)
         idx = np.asarray(self.tree.query_ball_point(q, eps * (1.0 + _TREE_SLACK)),
                          dtype=int)
-        idx = idx[np.abs(self.times[idx] - time) > theiler]
+        idx = idx[np.abs(self.times[idx] - time) > self.theiler]
         if idx.size == 0:
             return idx, np.empty(0)
         idx, d = self._order(q, idx)
         keep = d <= eps
         return idx[keep], d[keep]
 
-    def radius(self, row: int, eps: float, theiler: int | None = None):
-        """All admissible rows within distance eps (inclusive), ordered."""
-        return self.radius_point(self.points[row], self.times[row], eps, theiler)
 
-
-def successor_index(emb: DelayEmbedding, reserve: int = 1) -> NeighborIndex:
-    """Index over the rows that still have `reserve` future rows available."""
+def successor_index(emb: DelayEmbedding, reserve: int = 1,
+                    theiler: int | None = None) -> NeighborIndex:
+    """Index over the rows that still have `reserve` future rows available,
+    with Theiler window theiler (None: the embedding's own window)."""
     n = emb.n_points - reserve
     if n < 2:
         raise InsufficientDataError("not enough rows with the requested future span")
     return NeighborIndex(emb.points[:n], emb.times[:n],
-                         default_theiler=emb.default_theiler())
+                         emb.default_theiler() if theiler is None else theiler)

@@ -102,7 +102,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
         max_len = 0.1 * data_diameter(pts)
     if evolve_steps < 1:
         raise ValueError("evolve_steps must be >= 1")
-    index = successor_index(emb, evolve_steps)
+    index = successor_index(emb, evolve_steps, theiler)
     rows = pts.tolist()
 
     def first_fit(cand, dist, here, direction, length):
@@ -121,7 +121,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
 
     def scan(row: int, direction, length):
         """Every admissible row in numpy, for a row none of whose pool fits."""
-        cand, dist = index.ranked(pts[row], index.times[row], theiler)
+        cand, dist = index.ranked(pts[row], index.times[row])
         hit = np.flatnonzero((dist > 0.0) & (dist >= min_len) & (dist <= max_len))
         if direction is not None:
             near, here = cand[hit], rows[row]
@@ -135,7 +135,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
 
     starts = np.arange(0, index.n, evolve_steps)
     try:
-        pools, pool_d = index.knn_many(starts, min(50, index.n - 1), theiler)
+        pools, pool_d = index.knn_many(starts, min(50, index.n - 1))
     except InsufficientDataError:
         pools = None  # some row lacks 50 admissible rows: every row scans
 
@@ -189,18 +189,16 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pts = emb.points
-    if theiler is None:
-        theiler = emb.default_theiler()
     if emb.n_points - horizon < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
-    index = successor_index(emb, horizon)
+    index = successor_index(emb, horizon, theiler)
     # A row has an admissible neighbor iff some row lies outside its window.
     times = index.times
-    refs = np.flatnonzero((times.max() - times > theiler)
-                          | (times - times.min() > theiler))
+    refs = np.flatnonzero((times.max() - times > index.theiler)
+                          | (times - times.min() > index.theiler))
     if refs.size == 0:
         raise InsufficientDataError("no admissible nearest neighbors; lower theiler")
-    nns, d0 = index.knn_many(refs, 1, theiler)
+    nns, d0 = index.knn_many(refs, 1)
     keep = d0[:, 0] > 0.0
     refs, nns = refs[keep], nns[keep, 0]
     if refs.size == 0:
@@ -209,9 +207,8 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
     offsets = np.arange(horizon + 1)
     values = np.empty(horizon + 1)
     for i in offsets:
-        d = np.sqrt(np.sum((pts[refs + i] - pts[nns + i]) ** 2, axis=1))
-        good = d > 0.0
-        values[i] = float(np.mean(np.log(d[good])))
+        d = row_distances(pts, refs + i, pts[nns + i])
+        values[i] = float(np.mean(np.log(d[d > 0.0])))
     return DivergenceCurve(offsets, values, refs.size, emb.dt, "rosenstein")
 
 
@@ -220,14 +217,15 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
 _KANTZ_BLOCK = 1 << 18
 
 
-def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
+def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 50,
                 theiler: int | None = None,
                 n_refs: int | None = 1000) -> DivergenceCurve:
     """Mean ln of neighborhood-averaged distances, per offset.
 
-    Reference points whose eps0 ball holds no admissible neighbor are skipped;
-    if every ball is empty the call fails asking for a larger eps0.  n_refs
-    caps the number of (evenly spaced) reference points; None uses all.
+    eps0 None takes 1% of the data diameter, which must not be 0.  Reference
+    points whose eps0 ball holds no admissible neighbor are skipped; if every
+    ball is empty the call fails asking for a larger eps0.  n_refs caps the
+    number of (evenly spaced) reference points; None uses all.
 
     Each reference gets one radius query.  The averages then run in blocks
     of references with balls of similar size, each ball zero-padded to the
@@ -238,15 +236,22 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
     A ball collapsed onto its reference's orbit at some offset (as on coarsely
     quantized data) gives -inf there, a point that no fit window accepts.
     """
+    pts = emb.points
+    if eps0 is None:
+        diameter = data_diameter(pts)
+        if diameter == 0.0:
+            raise DegenerateDataError(
+                "all embedded points coincide; the default eps0 "
+                "(1% of the diameter) would be 0")
+        eps0 = 0.01 * diameter
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
-    pts = emb.points
     n_eligible = emb.n_points - horizon
     if n_eligible < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
-    index = successor_index(emb, horizon)
+    index = successor_index(emb, horizon, theiler)
 
     if n_refs is None or n_refs >= n_eligible:
         refs = np.arange(n_eligible)
@@ -255,7 +260,7 @@ def kantz_curve(emb: DelayEmbedding, eps0: float, horizon: int,
 
     kept, balls = [], []
     for r in refs.tolist():
-        nbrs, d = index.radius(r, eps0, theiler)
+        nbrs, d = index.radius_point(pts[r], index.times[r], eps0)
         nbrs = nbrs[d > 0.0]
         if nbrs.size:
             kept.append(r)
@@ -524,10 +529,10 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
         raise ValueError("k_neighbors must be at least the embedding width")
     if renorm_interval < 1:
         raise ValueError("renorm_interval must be positive")
-    index = successor_index(emb, 1)
+    index = successor_index(emb, 1, theiler)
 
     rows = np.arange(steps)
-    nbrs, _ = index.knn_many(rows, k_neighbors, theiler)
+    nbrs, _ = index.knn_many(rows, k_neighbors)
     x = pts[nbrs] - pts[rows][:, None, :]            # (steps, k, width)
     y = pts[nbrs + 1] - pts[rows + 1][:, None, :]
     u, s, vt = np.linalg.svd(x, full_matrices=False)

@@ -97,14 +97,15 @@ def _grid_row_sources(r: int, center: int, neighbor_rows: tuple) -> list:
 
 
 def build_tableau(emb: DelayEmbedding, row: int, r: int, k: int,
-                  layout="global", theiler: int | None = None,
+                  layout="global",
                   index: NeighborIndex | None = None) -> NeighborhoodTableau:
     """Assemble the neighborhood tableau for one forecast point.
 
     layout is a canonical name or an explicit boolean mask of shape
     (2r+1, 2k+1) whose forecast row must not touch future columns.  Neighbor
-    admissibility: outside the Theiler window and inside the data range for
-    every populated offset of the neighbor rows.
+    admissibility: outside the Theiler window of index (default
+    NeighborIndex(emb), the embedding's own window) and inside the data range
+    for every populated offset of the neighbor rows.
     """
     if r < 1 or k < 1:
         raise ConfigError("r and k must be >= 1")
@@ -135,11 +136,9 @@ def build_tableau(emb: DelayEmbedding, row: int, r: int, k: int,
     nbr_rows_mask = np.delete(mask, r, axis=0)
     nbr_cols = np.nonzero(nbr_rows_mask.any(axis=0))[0]
     nbr_offsets = offsets[nbr_cols]
-    if theiler is None:
-        theiler = emb.default_theiler()
 
     index = index or NeighborIndex(emb)
-    cand, dist = index.ranked(emb.points[row], emb.times[row], theiler)
+    cand, dist = index.ranked(emb.points[row], emb.times[row])
     # Baseline admissibility: k-step history and a one-step successor,
     # plus whatever offsets the mask actually populates.
     ok = (cand - k >= 0) & (cand + 1 <= emb.n_points - 1)
@@ -165,15 +164,16 @@ def build_tableau(emb: DelayEmbedding, row: int, r: int, k: int,
 
 def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,
                         spec, index: NeighborIndex | None = None,
-                        model_errors=None, theiler: int | None = None,
-                        channel: int = 0) -> np.ndarray:
+                        model_errors=None, channel: int = 0) -> np.ndarray:
     """Assemble the feature vector for one embedding row.
 
     spec is an ordered list of (method, lags) pairs:
       m1 raw lagged values; m2 mean of the listed lags; m3 mean of the values
       at the listed neighbor ranks; m4 linearly lag-weighted mean (nearer
       samples weigh more); m5 past forecast errors at the listed depths.
-    m5 reads model_errors (most recent last); missing depth yields 0 with a
+    m3 ranks the neighbors that index finds outside its Theiler window
+    (default NeighborIndex(emb), the embedding's own window).  m5 reads
+    model_errors (most recent last); missing depth yields 0 with a
     ColdStartWarning.
     """
     y = series.column(channel)
@@ -204,8 +204,7 @@ def preprocess_features(series: TimeSeries, emb: DelayEmbedding, row: int,
                 raise ConfigError("m3: neighbor ranks are 1-based")
             if index is None:
                 index = NeighborIndex(emb)
-            nbrs, _ = index.query_point(emb.points[row], emb.times[row],
-                                        max(lags), theiler)
+            nbrs, _ = index.query_point(emb.points[row], emb.times[row], max(lags))
             picked = [y[int(index.times[nbrs[rank - 1]])] for rank in lags]
             out.append(float(np.mean(picked)))
         else:  # m5
@@ -232,11 +231,10 @@ class PredictorModel:
     regressor: object
     target_kind: str = "value"   # "value": next observable; "state": next point
 
-    def predict(self, series, emb, row, index=None, model_errors=None,
-                theiler=None, channel=0):
+    def predict(self, series, emb, row, index=None, model_errors=None, channel=0):
         feats = preprocess_features(series, emb, row, self.feature_spec,
                                     index=index, model_errors=model_errors,
-                                    theiler=theiler, channel=channel)
+                                    channel=channel)
         pred = self.regressor.predict(feats[None, :])[0]
         if self.target_kind == "value":
             return float(pred[0]) if np.ndim(pred) else float(pred)
@@ -256,11 +254,12 @@ def fit_predictor(series: TimeSeries, emb: DelayEmbedding, rows, spec,
                   kind: str = "linear", target_kind: str = "value",
                   config: TrainConfig | None = None,
                   index: NeighborIndex | None = None, model_errors=None,
-                  theiler: int | None = None, channel: int = 0) -> PredictorModel:
+                  channel: int = 0) -> PredictorModel:
     """Train a predictor on the given embedding rows (each needs a successor).
 
-    index serves the m3 features; without one, a single NeighborIndex(emb)
-    is built for all rows, and only when spec has an m3 feature.
+    index serves the m3 features with its Theiler window; without one, a
+    single NeighborIndex(emb), with the embedding's own window, is built for
+    all rows, and only when spec has an m3 feature.
     """
     if target_kind not in ("value", "state"):
         raise ConfigError(f"unknown target kind {target_kind!r}")
@@ -280,29 +279,28 @@ def fit_predictor(series: TimeSeries, emb: DelayEmbedding, rows, spec,
                 raise InsufficientDataError(f"row {row} has no successor point")
             targets.append(emb.points[row + 1])
         feats.append(preprocess_features(series, emb, row, spec, index=index,
-                                         model_errors=model_errors,
-                                         theiler=theiler, channel=channel))
+                                         model_errors=model_errors, channel=channel))
     reg = train_regressor(np.asarray(feats), np.asarray(targets), kind, config)
     return PredictorModel(tuple((m, tuple(l)) for m, l in spec), reg, target_kind)
 
 
 def e_psi(model: PredictorModel, series: TimeSeries, emb: DelayEmbedding,
           rows, index: NeighborIndex | None = None, model_errors=None,
-          theiler: int | None = None, channel: int = 0) -> float:
+          channel: int = 0) -> float:
     """Sum of squared one-step residuals over the given neighbor rows.
 
     Every neighbor's known successor is compared against the model value
     computed from the neighbor's own features; the residuals of all
-    neighbors are squared and summed in one reduction.  index and theiler
-    serve the features (m3), as in fit_predictor.
+    neighbors are squared and summed in one reduction.  index serves the
+    features (m3), as in fit_predictor.
     """
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0 or np.any(rows + 1 > emb.n_points - 1):
         raise InsufficientDataError("E_psi needs neighbors that have successors")
     index = _feature_index(emb, model.feature_spec, index)
     preds = np.array([model.predict(series, emb, int(row), index=index,
-                                    model_errors=model_errors, theiler=theiler,
-                                    channel=channel) for row in rows])
+                                    model_errors=model_errors, channel=channel)
+                      for row in rows])
     if model.target_kind == "value":
         actual = series.column(channel)[emb.times[rows] + 1]
     else:
@@ -463,8 +461,9 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
     every delay is scored: coordinate j is feature j delayed by j*tau, each
     coordinate standardized; the neighborhood is the admissible in-ball set
     of radius radius_frac*sqrt(m) around the last point; its score is the
-    composite criterion (size if stable enough, else 0).  Ties prefer
-    smaller m, then smaller tau, then earlier feature combinations.
+    composite criterion (size if stable enough, else 0).  Each configuration's
+    index excludes the window theiler, by default its own tau*(m-1) + 1.
+    Ties prefer smaller m, then smaller tau, then earlier feature combinations.
     """
     feats = list(features)
     if not feats:
@@ -511,11 +510,9 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
                     continue
                 pts = np.column_stack(cols)
                 th = tau * (m - 1) + 1 if theiler is None else theiler
-                idx = NeighborIndex(pts[:-1], np.arange(k_rows - 1),
-                                    default_theiler=th)
+                idx = NeighborIndex(pts[:-1], np.arange(k_rows - 1), theiler=th)
                 cur = k_rows - 1
-                ball, _ = idx.radius_point(pts[cur], cur, radius_frac * math.sqrt(m),
-                                           theiler=th)
+                ball, _ = idx.radius_point(pts[cur], cur, radius_frac * math.sqrt(m))
                 if ball.size < 2:
                     gated += 1
                     continue

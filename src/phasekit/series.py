@@ -93,7 +93,7 @@ def _loadtxt(lines: list, delim: str | None, n_cols: int) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=2)
-    except (ValueError, TypeError, Warning):  # TypeError: a multi-character delimiter
+    except (ValueError, Warning):
         return None
     return data if data.shape == (len(lines), n_cols) else None
 
@@ -116,13 +116,12 @@ def _parse_cells(path, rows: list, delim: str | None, n_cols: int) -> np.ndarray
     return data
 
 
-def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
-                       header: bool | None = None):
+def read_numeric_table(path, min_rows: int = 2, header: bool | None = None):
     """Parse a numeric table with an optional single header line.
 
-    Cells are comma or whitespace separated; delimiter None sniffs the first
-    non-blank line (comma wins when present).  header None detects a header
-    by whether the first row parses as numbers; True or False forces it.
+    Cells are comma separated when the first non-blank line holds a comma,
+    whitespace separated otherwise.  header None detects a header by whether
+    the first row parses as numbers; True or False forces it.
     Returns (data, names) where names is () without a header.  Raises
     FormatError naming the offending 1-based file line and column on
     malformed input, InsufficientDataError below min_rows data rows.
@@ -135,9 +134,7 @@ def read_numeric_table(path, min_rows: int = 2, delimiter: str | None = None,
     if not rows:
         raise InsufficientDataError(f"{path}: empty file")
 
-    if delimiter is None:
-        delimiter = "," if "," in rows[0][1] else ""
-    delim = delimiter or None  # "" selects whitespace mode
+    delim = "," if "," in rows[0][1] else None  # None selects whitespace mode
 
     first_cells = _cells(rows[0][1], delim)
     names: tuple = ()
@@ -173,8 +170,7 @@ def write_numeric_table(path, names, data) -> None:
 TIME_UNIFORMITY_RTOL = 1e-9
 
 
-def load_csv(path, dt: float | None = None, time_column: bool = False,
-             delimiter: str | None = None, header: bool | None = None) -> TimeSeries:
+def load_csv(path, dt: float | None = None, time_column: bool = False) -> TimeSeries:
     """Read a one-column-per-channel table, with an optional single header line.
 
     With time_column=True the first column holds sample times; dt is taken
@@ -183,8 +179,7 @@ def load_csv(path, dt: float | None = None, time_column: bool = False,
     offending 1-based file line and column on malformed input,
     InsufficientDataError when fewer than 2 data rows remain.
     """
-    data, names = read_numeric_table(path, min_rows=2, delimiter=delimiter,
-                                     header=header)
+    data, names = read_numeric_table(path, min_rows=2)
     if time_column:
         if dt is not None:
             raise FormatError("dt is read from the time column; drop one of them")

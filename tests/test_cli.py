@@ -63,6 +63,20 @@ def test_unknown_flag_is_usage_error(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("mi",), ("embed", "--m", "2", "--tau", "1"),
+    ("dimension", "--m", "2", "--tau", "1"),
+    ("lyapunov", "--m", "2", "--tau", "1", "--method", "wolf"),
+    ("identify", "--m", "2", "--tau", "1", "--n", "2"),
+    ("predict", "--m", "2", "--tau", "1"), ("stepwise", "--lambda-min", "0.1"),
+    ("symmetry",)], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_nothing_is_random(workdir, capsys, argv):
+    # Only simulate draws random numbers (its --noise), so only it takes --seed.
+    rc, out, err = run(capsys, argv[0], "--input", "h.csv", *argv[1:], "--seed", "3")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --seed 3" in err
+
+
 def test_bad_value_is_usage_error(workdir, capsys):
     name = make_series(capsys, 300)
     rc, _, err = run(capsys, "embed", "--input", name, "--m", "0", "--tau", "1")

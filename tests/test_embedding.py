@@ -139,24 +139,34 @@ def _line_embedding(values):
     return pk.DelayEmbedding(pts, np.arange(pts.shape[0]), 1, 1, 1.0)
 
 
+def _query(index, row, k):
+    """The k nearest admissible rows of one of the index's own rows."""
+    return index.query_point(index.points[row], index.times[row], k)
+
+
+def _radius(index, row, eps):
+    """The admissible rows within eps of one of the index's own rows."""
+    return index.radius_point(index.points[row], index.times[row], eps)
+
+
 def test_knn_line_basic():
     emb = _line_embedding([0.0, 1.0, 3.0])
-    idx, dist = pk.NeighborIndex(emb).query(0, 1, theiler=0)
+    idx, dist = _query(pk.NeighborIndex(emb, theiler=0), 0, 1)
     assert idx[0] == 1 and dist[0] == pytest.approx(1.0)
-    idx, dist = pk.NeighborIndex(emb).query(1, 2, theiler=0)
+    idx, dist = _query(pk.NeighborIndex(emb, theiler=0), 1, 2)
     np.testing.assert_array_equal(idx, [0, 2])
     np.testing.assert_allclose(dist, [1.0, 2.0])
 
 
 def test_knn_theiler_excludes_temporal_neighbors():
     emb = _line_embedding([0.0, 0.1, 0.2, 5.0])
-    idx, _ = pk.NeighborIndex(emb).query(1, 1, theiler=1)
+    idx, _ = _query(pk.NeighborIndex(emb, theiler=1), 1, 1)
     assert idx[0] == 3  # rows 0 and 2 are inside the temporal window
 
 
 def test_knn_tie_breaks_by_lower_row():
     emb = _line_embedding([0.0, 1.0, -1.0, 1.0])
-    idx, dist = pk.NeighborIndex(emb).query(0, 2, theiler=0)
+    idx, dist = _query(pk.NeighborIndex(emb, theiler=0), 0, 2)
     assert dist[0] == dist[1] == pytest.approx(1.0)
     np.testing.assert_array_equal(idx, [1, 2])
 
@@ -164,7 +174,7 @@ def test_knn_tie_breaks_by_lower_row():
 def test_knn_insufficient_neighbors():
     emb = _line_embedding([0.0, 1.0, 2.0])
     with pytest.raises(pk.InsufficientDataError):
-        pk.NeighborIndex(emb).query(1, 4, theiler=0)
+        _query(pk.NeighborIndex(emb, theiler=0), 1, 4)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(0, 3))
@@ -177,14 +187,15 @@ def test_knn_matches_brute_force(seed, k, theiler):
     adm = np.array([i for i in range(n) if abs(i - row) > theiler])
     if adm.size < k:
         return
-    idx, dist = pk.NeighborIndex(emb).query(row, k, theiler=theiler)
+    index = pk.NeighborIndex(emb, theiler=theiler)
+    idx, dist = _query(index, row, k)
     d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
     order = np.lexsort((adm, d))
     np.testing.assert_array_equal(idx, adm[order][:k])
     np.testing.assert_allclose(dist, d[order][:k])
     assert np.all(np.diff(dist) >= 0)
     # The batched query over every row follows the same brute-force order.
-    many_idx, many_d = pk.NeighborIndex(emb).knn_many(np.arange(n), k, theiler)
+    many_idx, many_d = index.knn_many(np.arange(n), k)
     for r in range(n):
         want_idx, want_d = _brute_knn(pts, np.arange(n), r, k, theiler)
         np.testing.assert_array_equal(many_idx[r], want_idx)
@@ -208,13 +219,13 @@ def test_knn_many_exact_ties_on_a_lattice(k):
     # Every row of an integer lattice has several rows at its k-th distance.
     grid = np.array([(i, j) for i in range(11) for j in range(11)], dtype=float)
     pts = grid[np.random.default_rng(7).permutation(len(grid))]
-    index = pk.NeighborIndex(pts, default_theiler=0)
+    index = pk.NeighborIndex(pts, theiler=0)
     idx, dist = index.knn_many(np.arange(len(pts)), k)
     for r in range(len(pts)):
         want_idx, want_d = _brute_knn(pts, np.arange(len(pts)), r, k, 0)
         np.testing.assert_array_equal(idx[r], want_idx)
         np.testing.assert_array_equal(dist[r], want_d)
-        q_idx, q_d = index.query(r, k)
+        q_idx, q_d = _query(index, r, k)
         np.testing.assert_array_equal(idx[r], q_idx)
         np.testing.assert_array_equal(dist[r], q_d)
 
@@ -225,16 +236,16 @@ def test_knn_many_rows_short_of_admissible_neighbors():
     # Two rows per time stamp: a Theiler window holds twice the rows the
     # batched pool allows for, so those rows regrow through the per-row path.
     times = np.repeat(np.arange(40), 2)
-    index = pk.NeighborIndex(pts, times, default_theiler=3)
+    index = pk.NeighborIndex(pts, times, theiler=3)
     idx, dist = index.knn_many(np.arange(80), 5)
     for r in range(80):
         want_idx, want_d = _brute_knn(pts, times, r, 5, 3)
         np.testing.assert_array_equal(idx[r], want_idx)
         np.testing.assert_array_equal(dist[r], want_d)
-    # Rows with fewer than k admissible rows in all fail as query() does.
-    line = pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=3)
+    # Rows with fewer than k admissible rows in all fail as query_point does.
+    line = pk.NeighborIndex(np.arange(10.0)[:, None], theiler=3)
     with pytest.raises(pk.InsufficientDataError):
-        line.query(5, 4)
+        _query(line, 5, 4)
     with pytest.raises(pk.InsufficientDataError):
         line.knn_many(np.arange(10), 4)
     idx, _ = line.knn_many([0, 9], 4)
@@ -246,7 +257,7 @@ def test_knn_many_resorts_rows_out_of_tree_order():
     # in its own order, which the finish must put back into row order.
     rng = np.random.default_rng(3)
     pts = np.repeat(rng.normal(size=(60, 2)), 3, axis=0)[rng.permutation(180)]
-    index = pk.NeighborIndex(pts, default_theiler=0)
+    index = pk.NeighborIndex(pts, theiler=0)
     tree_d, tree_idx = index.tree.query(pts, k=6)
     assert np.any((np.diff(tree_d, axis=1) == 0) & (np.diff(tree_idx, axis=1) < 0))
     idx, dist = index.knn_many(np.arange(180), 5)
@@ -286,7 +297,7 @@ def test_knn_on_rounded_henon_matches_brute_force(k):
         np.testing.assert_array_equal(idx[r], want_idx)
         np.testing.assert_array_equal(dist[r], want_d)
     for r in range(0, emb.n_points, 7):
-        q_idx, q_d = index.query(r, k)
+        q_idx, q_d = _query(index, r, k)
         np.testing.assert_array_equal(q_idx, idx[r])
         np.testing.assert_array_equal(q_d, dist[r])
 
@@ -301,7 +312,7 @@ def test_query_point_outside_the_index_matches_brute_force(values, k):
     sub = pk.successor_index(emb, 3)
     theiler = emb.default_theiler()
     for row in range(sub.n - 2, emb.n_points):
-        idx, dist = sub.query_point(emb.points[row], emb.times[row], k, theiler)
+        idx, dist = sub.query_point(emb.points[row], emb.times[row], k)
         want_idx, want_d = _brute_knn_point(sub.points, sub.times, emb.points[row],
                                             emb.times[row], k, theiler)
         np.testing.assert_array_equal(idx, want_idx)
@@ -309,41 +320,53 @@ def test_query_point_outside_the_index_matches_brute_force(values, k):
 
 
 def test_knn_rejects_bad_k_and_window():
-    index = pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=1)
+    index = pk.NeighborIndex(np.arange(10.0)[:, None], theiler=1)
     with pytest.raises(ValueError, match="k must be >= 1"):
         index.knn_many(np.arange(10), 0)
     with pytest.raises(ValueError, match="k must be >= 1"):
         index.query_point([2.5], 20, -3)
-    with pytest.raises(ValueError, match="theiler must be >= 0"):
-        index.query(4, 2, theiler=-1)
-    with pytest.raises(ValueError, match="theiler must be >= 0"):
-        pk.NeighborIndex(np.arange(10.0)[:, None], default_theiler=-2).knn_many([0], 1)
-    with pytest.raises(ValueError, match="theiler must be >= 0"):
-        index.ranked([2.5], 20, theiler=-4)
+    # A negative window fails at build, for a raw array and for an embedding.
+    with pytest.raises(ValueError, match="theiler must be >= 0, got -1"):
+        pk.NeighborIndex(np.arange(10.0)[:, None], theiler=-1)
+    with pytest.raises(ValueError, match="theiler must be >= 0, got -2"):
+        pk.NeighborIndex(np.arange(10.0)[:, None], np.arange(10), theiler=-2)
+    with pytest.raises(ValueError, match="theiler must be >= 0, got -4"):
+        pk.NeighborIndex(_line_embedding(np.arange(10.0)), theiler=-4)
+    with pytest.raises(ValueError, match="theiler must be >= 0, got -3"):
+        pk.successor_index(_line_embedding(np.arange(10.0)), 1, -3)
 
 
 def test_ranked_lists_every_admissible_row_nearest_first():
     pts = np.array([[0.0], [3.0], [1.0], [1.0], [-1.0], [0.5]])
-    index = pk.NeighborIndex(pts, default_theiler=1)
+    index = pk.NeighborIndex(pts, theiler=1)
     idx, dist = index.ranked(pts[0], 0)
     np.testing.assert_array_equal(idx, [5, 2, 3, 4])  # row 1 is in the window
     np.testing.assert_array_equal(dist, [0.5, 1.0, 1.0, 1.0])
-    assert index.ranked(pts[0], 0, theiler=9)[0].size == 0
+    assert pk.NeighborIndex(pts, theiler=9).ranked(pts[0], 0)[0].size == 0
 
 
 def test_successor_index_reserves_future_rows():
     emb = _line_embedding(np.arange(10.0))
     index = pk.successor_index(emb, 3)
     assert index.n == 7
-    assert index.default_theiler == emb.default_theiler()
+    assert index.theiler == emb.default_theiler()
     with pytest.raises(pk.InsufficientDataError):
         pk.successor_index(emb, 9)
 
 
+@pytest.mark.parametrize("reserve, theiler", [(1, 0), (3, 2), (2, 5)])
+def test_successor_index_fixes_the_given_window(reserve, theiler):
+    emb = _line_embedding(np.arange(12.0))
+    index = pk.successor_index(emb, reserve, theiler)
+    assert index.theiler == theiler
+    idx, _ = _query(index, 0, 1)
+    assert idx[0] == theiler + 1  # the nearest row outside the window
+
+
 def test_radius_query_inclusive_and_ordered():
     emb = _line_embedding([0.0, 0.5, 1.0, 2.0])
-    index = pk.NeighborIndex(emb, default_theiler=0)
-    idx, dist = index.radius(0, 1.0)
+    index = pk.NeighborIndex(emb, theiler=0)
+    idx, dist = _radius(index, 0, 1.0)
     np.testing.assert_array_equal(idx, [1, 2])
     np.testing.assert_allclose(dist, [0.5, 1.0])
 
@@ -353,9 +376,9 @@ def test_neighbor_index_defaults_to_embedding_theiler_window():
                             np.arange(3), 2, 1, 1.0)
     assert emb.default_theiler() == 2
     index = pk.NeighborIndex(emb)
-    assert index.default_theiler == 2
-    idx, _ = index.radius(0, 1.0)
+    assert index.theiler == 2
+    idx, _ = _radius(index, 0, 1.0)
     assert idx.size == 0
-    idx, dist = pk.NeighborIndex(emb, default_theiler=1).radius(0, 1.0)
+    idx, dist = _radius(pk.NeighborIndex(emb, theiler=1), 0, 1.0)
     np.testing.assert_array_equal(idx, [2])
     np.testing.assert_allclose(dist, [1.0])

@@ -210,6 +210,16 @@ def test_kantz_henon(henon_emb):
     assert rate.value == pytest.approx(HENON_LAMBDA1, abs=HENON_BAND)
 
 
+def test_kantz_default_radius_is_one_percent_of_diameter(henon_emb):
+    eps0 = 0.01 * pk.data_diameter(henon_emb.points)
+    curve = pk.kantz_curve(henon_emb, horizon=15)
+    assert curve.eps0 == eps0
+    assert curve.values.tobytes() == pk.kantz_curve(henon_emb, eps0, 15).values.tobytes()
+    flat = pk.embed(pk.TimeSeries(np.ones(50)), 2, 1)
+    with pytest.raises(pk.DegenerateDataError, match="default eps0"):
+        pk.kantz_curve(flat, horizon=5)
+
+
 def _kantz_reference(emb, eps0, horizon, n_refs):
     """kantz_curve as a per-reference loop: one ball, one mean, one log."""
     pts = emb.points
@@ -220,7 +230,7 @@ def _kantz_reference(emb, eps0, horizon, n_refs):
     offsets = np.arange(horizon + 1)
     sums, used = np.zeros(horizon + 1), 0
     for r in refs:
-        nbrs, d = index.radius(int(r), eps0, emb.default_theiler())
+        nbrs, d = index.radius_point(pts[r], index.times[r], eps0)
         nbrs = nbrs[d > 0.0]
         if nbrs.size:
             diff = pts[nbrs[:, None] + offsets] - pts[r + offsets][None, :, :]
@@ -345,8 +355,7 @@ def _benettin_data_lapack(emb, steps, renorm_interval):
     """
     pts, width = emb.points, emb.width
     rows = np.arange(steps)
-    nbrs, _ = pk.successor_index(emb, 1).knn_many(rows, 2 * width + 1,
-                                                  emb.default_theiler())
+    nbrs, _ = pk.successor_index(emb, 1).knn_many(rows, 2 * width + 1)
     w, sigma, alignment, pending = np.eye(width), np.zeros(width), 0.0, 0
     for t in rows:
         sol, _, _, _ = np.linalg.lstsq(pts[nbrs[t]] - pts[t],

@@ -199,7 +199,7 @@ def test_e_psi_zero_for_exact_model():
     emb = pk.embed(series, 1, 1)
     exact = PredictorModel((("m1", (0,)),),
                            LinearRegressor(np.array([[1.0], [1.0]])), "value")
-    nbrs, _ = successor_index(emb).query(20, 4)
+    nbrs, _ = successor_index(emb).query_point(emb.points[20], emb.times[20], 4)
     assert pk.e_psi(exact, series, emb, nbrs) == pytest.approx(0.0)
     with pytest.raises(pk.InsufficientDataError):
         pk.e_psi(exact, series, emb, [29])  # the last row has no successor
@@ -318,8 +318,8 @@ def test_mean_state_model_equals_the_inline_local_mean(name, steps, m, tau, seed
 
 def test_successor_index_excludes_last_row():
     emb = line_embedding(np.arange(10.0))
-    sub = successor_index(emb)
-    nbrs, _ = sub.query_point(emb.points[9], 9, 3, 1)
+    sub = successor_index(emb, 1, 1)
+    nbrs, _ = sub.query_point(emb.points[9], 9, 3)
     assert 9 not in nbrs
     assert all(n + 1 <= 9 for n in nbrs)
 
@@ -422,6 +422,21 @@ def test_m3_feature_at_the_forecast_row_of_a_successor_index():
     out = pk.preprocess_features(series, emb, row, [("m3", (1, 2))], index=sub)
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row], 2)
     assert out[0] == np.mean(series.column(0)[emb.times[nbrs]])
+
+
+def test_tableau_and_m3_feature_share_the_index_window():
+    # The index's window, not the embedding's (5 here), rules both: with
+    # window 0 the nearest rows of row 150 are its own time neighbours.
+    k = np.arange(400.0)
+    series = pk.TimeSeries(np.sin(0.01 * k) + 0.001 * np.sin(0.37 * k))
+    emb = pk.embed(series, 3, 2)
+    index = pk.NeighborIndex(emb, theiler=0)
+    row = 150
+    tab = pk.build_tableau(emb, row, 2, 1, index=index)
+    nbrs, _ = index.query_point(emb.points[row], emb.times[row], 4)
+    assert tab.neighbor_rows == tuple(nbrs) == (151, 149, 152, 148)
+    out = pk.preprocess_features(series, emb, row, [("m3", (1, 2, 3, 4))], index=index)
+    assert out[0] == np.mean(series.column(0)[emb.times[list(tab.neighbor_rows)]])
 
 
 @pytest.mark.parametrize("spec, builds", [
