@@ -4,14 +4,16 @@ All exponents are per sample in natural-log units; divide by dt (or use
 per_time) for rates per time unit.  Three data-driven largest-exponent routes
 (pair tracking with replacement, nearest-neighbor divergence, neighborhood
 divergence) plus tangent-space QR iteration with exact or locally regressed
-Jacobians.
+Jacobians.  Both QR routes run one iteration loop; the exact one steps the
+frame as the variational system with the state's own integrator
+(systems.rk4_floats or rk4_step for flows, one rhs call for maps), so on an
+autonomous system its state rows are those of systems.sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -19,7 +21,8 @@ from .dimensions import data_diameter
 from .embedding import DelayEmbedding, row_distances, successor_index
 from .errors import ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError
 from .fitting import fit_scaling_region
-from .systems import _NORM_LIMIT, DEFAULT_TRANSIENT, ReferenceSystem, rk4_floats
+from .systems import (_NORM_LIMIT, DEFAULT_TRANSIENT, ReferenceSystem, rk4_floats,
+                      rk4_step, sample)
 
 
 @dataclass(frozen=True)
@@ -72,16 +75,20 @@ class SpectrumReport:
     entropy_rate: float             # sum of positive exponents
 
 
+# Wolf replacements lie at most this fraction of the data diameter away.
+_WOLF_MAX_LEN = 0.1
+
+
 def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
-                 min_len: float = 0.0, max_len: float | None = None,
                  angle_tol: float = 0.9, theiler: int | None = None) -> WolfResult:
     """Track one separation vector, renormalizing by neighbor replacement.
 
     Each segment evolves the pair evolve_steps rows forward and accumulates
     ln(L_end / L_start).  Replacements prefer the closest admissible point
     whose direction cosine with the evolved separation is at least angle_tol
-    and whose distance lies in [min_len, max_len]; when nothing qualifies the
-    constraint relaxes to the plain nearest admissible point.
+    and whose distance lies in (0, _WOLF_MAX_LEN x the data diameter]; when
+    nothing qualifies the constraint relaxes to the plain nearest admissible
+    point.
 
     The replacement rows are fixed in advance (0, e, 2e, ...), so their
     nearest 50 candidates come from one batched query; a row scans every
@@ -98,8 +105,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     """
     pts = emb.points
     k_rows = emb.n_points
-    if max_len is None:
-        max_len = 0.1 * data_diameter(pts)
+    max_len = _WOLF_MAX_LEN * data_diameter(pts)
     if evolve_steps < 1:
         raise ValueError("evolve_steps must be >= 1")
     index = successor_index(emb, evolve_steps, theiler)
@@ -108,7 +114,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     def first_fit(cand, dist, here, direction, length):
         """The nearest candidate that fits, walked on Python floats."""
         for i, d in zip(cand, dist):
-            if not (d > 0.0 and min_len <= d <= max_len):
+            if not 0.0 < d <= max_len:
                 continue
             if direction is None:
                 return i
@@ -122,7 +128,7 @@ def wolf_lambda1(emb: DelayEmbedding, evolve_steps: int = 1,
     def scan(row: int, direction, length):
         """Every admissible row in numpy, for a row none of whose pool fits."""
         cand, dist = index.ranked(pts[row], index.times[row])
-        hit = np.flatnonzero((dist > 0.0) & (dist >= min_len) & (dist <= max_len))
+        hit = np.flatnonzero((dist > 0.0) & (dist <= max_len))
         if direction is not None:
             near, here = cand[hit], rows[row]
             dot = (pts[near, 0] - here[0]) * direction[0]
@@ -224,8 +230,8 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
 
     eps0 None takes 1% of the data diameter, which must not be 0.  Reference
     points whose eps0 ball holds no admissible neighbor are skipped; if every
-    ball is empty the call fails asking for a larger eps0.  n_refs caps the
-    number of (evenly spaced) reference points; None uses all.
+    ball is empty the call fails asking for a larger eps0.  n_refs (at least
+    1) caps the number of (evenly spaced) reference points; None uses all.
 
     Each reference gets one radius query.  The averages then run in blocks
     of references with balls of similar size, each ball zero-padded to the
@@ -248,6 +254,8 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
         raise ValueError("horizon must be >= 1")
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
+    if n_refs is not None and n_refs < 1:
+        raise ValueError(f"n_refs must be >= 1, got {n_refs}")
     n_eligible = emb.n_points - horizon
     if n_eligible < 2:
         raise InsufficientDataError("horizon exceeds the available rows")
@@ -306,7 +314,7 @@ def divergence_rate(curve: DivergenceCurve,
 
 
 # Tangent frames of at most this many rows are stepped on Python floats, in
-# closed form on 3-component tuples (narrower frames padded with zeros, which
+# closed form on 3-component columns (narrower frames padded with zeros, which
 # adds only exact zeros): at this size numpy's per-call cost outweighs the
 # arithmetic many times over.  Wider frames are stepped on numpy arrays.
 _FLOAT_WIDTH = 3
@@ -314,29 +322,26 @@ _FLOAT_WIDTH = 3
 
 def _pad3(m) -> tuple:
     """A square matrix of at most 3 rows as a 3 x 3 tuple, zero-padded."""
-    if len(m) == 3:
+    n = len(m)
+    if n == 3:
         return m
-    return tuple(tuple(row) + (0.0,) * (3 - len(m)) for row in m) \
-        + ((0.0, 0.0, 0.0),) * (3 - len(m))
-
-
-def _unit_frame(n_exp: int) -> list:
-    return [tuple(float(i == j) for i in range(3)) for j in range(n_exp)]
+    pad = (0.0,) * (3 - n)
+    return tuple([tuple(row) + pad for row in m]) + ((0.0, 0.0, 0.0),) * (3 - n)
 
 
 def _mat_frame(m, frame) -> list:
-    """m @ W for a padded 3 x 3 m and a frame W held as its column tuples."""
+    """m @ W for a padded 3 x 3 m and a float frame W, flat by columns."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    return [(a * p + b * q + c * r, d * p + e * q + f * r, g * p + h * q + i * r)
-            for p, q, r in frame]
-
-
-def _frame_finite(frame) -> bool:
-    return all(map(math.isfinite, chain.from_iterable(frame)))
+    col = iter(frame)
+    out = []
+    for p, q, r in zip(col, col, col):
+        out += (a * p + b * q + c * r, d * p + e * q + f * r, g * p + h * q + i * r)
+    return out
 
 
 def _qr_step(frame, sigma) -> list:
-    """One QR step of a float frame: returns Q's columns, adds log r_jj to sigma[j].
+    """One QR step of a float frame, given as its 3-component columns:
+    returns Q's columns, adds log r_jj to sigma[j].
 
     Gram-Schmidt with one re-orthogonalisation pass ("twice is enough",
     Giraud et al., Numer. Math. 101, 2005) keeps Q orthonormal to working
@@ -358,10 +363,6 @@ def _qr_step(frame, sigma) -> list:
     return q
 
 
-def _array_finite(w: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(w)))
-
-
 def _qr_lapack(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """_qr_step for a (width, n_exp) array frame, through LAPACK, with Q's
     column signs flipped so that diag(R) is positive."""
@@ -373,131 +374,118 @@ def _qr_lapack(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return q * np.sign(diag)
 
 
-def _tangent_map(system: ReferenceSystem, x: list, w: list,
-                 t: float, dt: float) -> tuple[list, list]:
-    return system.rhs(x, t), _mat_frame(_pad3(system.rhs_jac(x, t)), w)
+def _qr_iteration(advance, state, width: int, n_exp: int, steps: int,
+                  renorm_interval: int, floats: bool) -> tuple:
+    """The QR iteration of both Benettin routes; returns the exponents, descending.
 
+    The iterate z is the state (possibly empty) followed by the frame W,
+    which starts as the first n_exp columns of the width x width identity.
+    z = advance(i, z) takes step i into a new iterate, raising if it
+    diverged.  W is re-orthonormalised in place every renorm_interval steps
+    and after the last; each exponent is the sum of its log r_jj over steps.
+    On floats z is a list whose W is n_exp zero-padded 3-component columns,
+    renormalised by _qr_step; otherwise z is an array whose W is a C-order
+    (width, n_exp) block, renormalised by _qr_lapack.
+    """
+    lead = len(state)
+    if floats:
+        z = list(state) + [float(i == j) for j in range(n_exp) for i in range(3)]
+        sigma = [0.0] * n_exp
 
-def _tangent_rk4(system: ReferenceSystem, x: list, w: list,
-                 t: float, dt: float) -> tuple[list, list]:
-    # Exact derivative of the RK4 one-step map, propagated alongside the
-    # state; the state takes the operations of systems.rk4_floats.
-    rhs, jac = system.rhs, system.rhs_jac
-    h = 0.5 * dt
-    k1 = rhs(x, t)
-    x2 = [a + h * b for a, b in zip(x, k1)]
-    k2 = rhs(x2, t + h)
-    x3 = [a + h * b for a, b in zip(x, k2)]
-    k3 = rhs(x3, t + h)
-    x4 = [a + dt * b for a, b in zip(x, k3)]
-    k4 = rhs(x4, t + dt)
-    sixth = dt / 6.0
-    x_new = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    m1 = _mat_frame(_pad3(jac(x, t)), w)
-    m2 = _mat_frame(_pad3(jac(x2, t + h)), [
-        (p + h * a, q + h * b, r + h * c) for (p, q, r), (a, b, c) in zip(w, m1)])
-    m3 = _mat_frame(_pad3(jac(x3, t + h)), [
-        (p + h * a, q + h * b, r + h * c) for (p, q, r), (a, b, c) in zip(w, m2)])
-    m4 = _mat_frame(_pad3(jac(x4, t + dt)), [
-        (p + dt * a, q + dt * b, r + dt * c) for (p, q, r), (a, b, c) in zip(w, m3)])
-    w_new = [(p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-              q + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-              r + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
-             for (p, q, r), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4)
-             in zip(w, m1, m2, m3, m4)]
-    return x_new, w_new
+        def renormalise(z):
+            col = iter(z[lead:])
+            q = _qr_step(zip(col, col, col), sigma)
+            del z[lead:]
+            for column in q:
+                z += column
+    else:
+        z = np.concatenate((state, np.eye(width)[:, :n_exp].ravel()))
+        sigma = np.zeros(n_exp)
 
-
-def _tangent_map_array(system: ReferenceSystem, x: np.ndarray, w: np.ndarray,
-                       t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    return system.f(x, t), system.jac(x, t) @ w
-
-
-def _tangent_rk4_array(system: ReferenceSystem, x: np.ndarray, w: np.ndarray,
-                       t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # _tangent_rk4 on a (dim, n_exp) array frame.
-    f, jac = system.f, system.jac
-    k1 = f(x, t)
-    x2 = x + 0.5 * dt * k1
-    k2 = f(x2, t + 0.5 * dt)
-    x3 = x + 0.5 * dt * k2
-    k3 = f(x3, t + 0.5 * dt)
-    x4 = x + dt * k3
-    k4 = f(x4, t + dt)
-    m1 = jac(x, t) @ w
-    m2 = jac(x2, t + 0.5 * dt) @ (w + 0.5 * dt * m1)
-    m3 = jac(x3, t + 0.5 * dt) @ (w + 0.5 * dt * m2)
-    m4 = jac(x4, t + dt) @ (w + dt * m3)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    w_new = w + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    return x_new, w_new
+        def renormalise(z):
+            z[lead:] = _qr_lapack(z[lead:].reshape(width, n_exp), sigma).ravel()
+    pending = 0
+    for i in range(steps):
+        z = advance(i, z)
+        pending += 1
+        if pending == renorm_interval:
+            renormalise(z)
+            pending = 0
+    if pending:
+        renormalise(z)
+    return tuple(np.sort(np.array(sigma) / steps)[::-1])
 
 
 def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
                    dt: float | None = None, n_exp: int | None = None,
                    renorm_interval: int = 1,
-                   transient: int = DEFAULT_TRANSIENT, t0: float = 0.0) -> LyapunovSpectrum:
+                   transient: int = DEFAULT_TRANSIENT) -> LyapunovSpectrum:
     """QR-iterated tangent propagation with the analytic Jacobian.
 
+    The state x and frame W are stepped together as the variational system
+    z = (x, W), dz = (rhs(x), J(x) W): by systems.rk4_floats for a flow and
+    one application for a map, as in systems.sample, whose run gives the
+    transient.  On an autonomous system the state rows are sample's bit for
+    bit; step times are accumulated (t += dt), so on a non-autonomous flow
+    they drift from sample's by rounding.
     Systems of at most 3 dimensions are stepped on Python floats through
-    their scalar rhs and rhs_jac, larger ones on numpy arrays.  A state that
-    turns non-finite or whose norm passes systems._NORM_LIMIT raises
-    DivergenceError naming the step.
+    their scalar rhs and rhs_jac, larger ones on numpy arrays by
+    systems.rk4_step through f and jac.  A state that turns non-finite or
+    whose norm passes systems._NORM_LIMIT raises DivergenceError naming the
+    step (step 0 for the transient).
 
     renorm_interval > 1 propagates the frame k steps between QRs, which loses
     about eps * exp((lambda_1 - lambda_2) * k) of relative accuracy in each
     log r_jj: the Henon exponent sum is off by about 5e-10 at k = 10 against
     2e-14 at k = 1.
     """
-    x = np.asarray(system.x0_default if x0 is None else x0, dtype=float).tolist()
     dt = system.dt_default if dt is None else dt
-    n_exp = system.dim if n_exp is None else n_exp
-    if not 1 <= n_exp <= system.dim:
+    dim = system.dim
+    n_exp = dim if n_exp is None else n_exp
+    if not 1 <= n_exp <= dim:
         raise ValueError("n_exp must lie in [1, dim]")
     if steps < 1:
         raise ValueError("steps must be positive")
     if renorm_interval < 1:
         raise ValueError("renorm_interval must be positive")
-    flow = system.kind == "flow"
-    t = t0
     try:
-        for i in range(transient):
-            x = rk4_floats(system.rhs, x, t, dt) if flow else system.rhs(x, t)
-            t = t0 + (i + 1) * (dt if flow else 1.0)
-    except OverflowError:  # numpy would have carried an inf into step 0
+        x = sample(system, 1, x0, dt, transient)[0].tolist()
+    except DivergenceError:
         raise DivergenceError(
             f"{system.name}: tangent propagation diverged at step 0") from None
-    if system.dim <= _FLOAT_WIDTH:
-        w, sigma = _unit_frame(n_exp), [0.0] * n_exp
-        advance = _tangent_rk4 if flow else _tangent_map
-        finite, renormalise = _frame_finite, _qr_step
+    flow = system.kind == "flow"
+    tick = dt if flow else 1.0
+    t = transient * tick  # sample's time at its row `transient`
+    floats = dim <= _FLOAT_WIDTH
+    if floats:
+        def variational(z, t):
+            x = z[:dim]
+            return [*system.rhs(x, t), *_mat_frame(_pad3(system.rhs_jac(x, t)), z[dim:])]
+        integrate = rk4_floats
     else:
-        x, w, sigma = np.array(x), np.eye(system.dim)[:, :n_exp], np.zeros(n_exp)
-        advance = _tangent_rk4_array if flow else _tangent_map_array
-        finite, renormalise = _array_finite, _qr_lapack
-    pending = 0
-    for i in range(steps):
+        def variational(z, t):
+            x = z[:dim]
+            return np.concatenate((system.f(x, t), (
+                system.jac(x, t) @ z[dim:].reshape(dim, n_exp)).ravel()))
+        integrate = rk4_step
+
+    def advance(i, z):
+        nonlocal t
         try:
-            x, w = advance(system, x, w, t, dt)
+            z = integrate(variational, z, t, dt) if flow else variational(z, t)
             # A state past the norm limit diverged, as in systems.sample; so
             # it is reported before the QR of a frame built on it collapses.
             # hypot is nan or inf for a non-finite state.
-            ok = math.hypot(*x) <= _NORM_LIMIT and finite(w)
+            ok = math.hypot(*z[:dim]) <= _NORM_LIMIT and all(map(math.isfinite, z))
         except OverflowError:  # a float power overflowed where numpy gives inf
             ok = False
         if not ok:
             raise DivergenceError(f"{system.name}: tangent propagation diverged at step {i}")
-        t += dt if flow else 1.0
-        pending += 1
-        if pending == renorm_interval:
-            w = renormalise(w, sigma)
-            pending = 0
-    if pending:
-        w = renormalise(w, sigma)
-    lam = np.sort(np.array(sigma) / steps)[::-1]
-    sample_dt = dt if flow else 1.0
-    return LyapunovSpectrum(tuple(lam), "benettin-exact", steps, sample_dt)
+        t += tick
+        return z
+
+    lam = _qr_iteration(advance, x, dim, n_exp, steps, renorm_interval, floats)
+    return LyapunovSpectrum(lam, "benettin-exact", steps, tick)
 
 
 def benettin_data(emb: DelayEmbedding, steps: int | None = None,
@@ -510,9 +498,10 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
     k defaults to 2*width+1.  The neighborhoods come from one batched query
     and every map from one stacked SVD, with lstsq's rank rule (singular
     values at most eps*max(k, width) times the largest count as zero).
-    Frames of width at most 3 are stepped on Python floats, wider ones on
-    numpy arrays.  renorm_interval > 1 costs accuracy as in benettin_exact:
-    about eps * exp((lambda_1 - lambda_2) * k) relative in each log r_jj.
+    The frame alone is stepped, by the QR iteration of benettin_exact:
+    frames of width at most 3 on Python floats, wider ones on numpy arrays.
+    renorm_interval > 1 costs accuracy as in benettin_exact: about
+    eps * exp((lambda_1 - lambda_2) * k) relative in each log r_jj.
     """
     pts = emb.points
     width = emb.width
@@ -542,34 +531,34 @@ def benettin_data(emb: DelayEmbedding, steps: int | None = None,
     # Transposed least-squares solutions: jac[t] @ x[t, i] ~ y[t, i].
     jac = np.swapaxes(y, 1, 2) @ u @ (inv_s[:, :, None] * vt)
 
-    if width <= _FLOAT_WIDTH:
+    floats = width <= _FLOAT_WIDTH
+    if floats:
         padded = np.zeros((steps, 3, 3))
         padded[:, :width, :width] = jac
-        jac, w, sigma = padded.tolist(), _unit_frame(n_exp), [0.0] * n_exp
-        propagate, finite, renormalise = _mat_frame, _frame_finite, _qr_step
+        jac, propagate = padded.tolist(), _mat_frame
     else:
-        w, sigma = np.eye(width)[:, :n_exp], np.zeros(n_exp)
-        propagate, finite, renormalise = np.matmul, _array_finite, _qr_lapack
-    pending = 0
-    for t in range(steps):
+        def propagate(m, w):
+            return (m @ w.reshape(width, n_exp)).ravel()
+
+    def advance(t, w):
         if rank[t] < width:
             raise DegenerateDataError(
                 f"singular neighborhood regression at row {t}; increase k_neighbors")
         w = propagate(jac[t], w)
-        if not finite(w):
+        if not all(map(math.isfinite, w)):
             raise DivergenceError(f"tangent propagation diverged at row {t}")
-        pending += 1
-        if pending == renorm_interval:
-            w = renormalise(w, sigma)
-            pending = 0
-    if pending:
-        w = renormalise(w, sigma)
-    lam = np.sort(np.array(sigma) / steps)[::-1]
-    return LyapunovSpectrum(tuple(lam), "benettin-data", steps, emb.dt)
+        return w
+
+    lam = _qr_iteration(advance, [], width, n_exp, steps, renorm_interval, floats)
+    return LyapunovSpectrum(lam, "benettin-data", steps, emb.dt)
 
 
-def spectrum_checks(spectrum, kind: str = "flow",
-                    zero_tol: float = 0.005) -> SpectrumReport:
+# A flow's spectrum passes the neutral-direction check when its exponent of
+# least magnitude is at most this far from 0 (per sample).
+_ZERO_TOL = 0.005
+
+
+def spectrum_checks(spectrum, kind: str = "flow") -> SpectrumReport:
     """Consistency report: neutral direction (flows), dissipativity, entropy rate."""
     if isinstance(spectrum, LyapunovSpectrum):
         lam = np.asarray(spectrum.exponents)
@@ -578,7 +567,7 @@ def spectrum_checks(spectrum, kind: str = "flow",
     total = float(lam.sum())
     zero_ok = None
     if kind == "flow":
-        zero_ok = bool(np.min(np.abs(lam)) <= zero_tol)
+        zero_ok = bool(np.min(np.abs(lam)) <= _ZERO_TOL)
     return SpectrumReport(
         sum_exponents=total,
         dissipative=bool(total < 0.0),

@@ -6,7 +6,9 @@ jac are derived from them.  Flows are integrated with classical fixed-step
 RK4 (no adaptive stepping, so runs are bit-reproducible), maps by direct
 iteration, both stepping the scalar forms on Python floats: for states of a
 few components numpy's per-call cost would outweigh the arithmetic, and the
-elementwise operations are the same IEEE operations either way.  Every
+elementwise operations are the same IEEE operations either way.  The same
+integrators step lyapunov.benettin_exact's variational system, rk4_floats on
+floats and rk4_step on arrays (whose f and jac are the array forms).  Every
 Jacobian is checked against central finite differences the first time the
 catalog is built in a process.
 """
@@ -36,7 +38,9 @@ class ReferenceSystem:
     next state (maps) as a tuple of floats; t is ignored by autonomous
     systems.  rhs_jac(x, t) returns the state Jacobian d rhs / d x as a tuple
     of row tuples.  f and jac are the same functions returning numpy arrays,
-    derived from rhs and rhs_jac.
+    derived from rhs and rhs_jac; they serve check_jacobian and the array
+    form of lyapunov.benettin_exact's variational step, which it takes for
+    systems too wide for its float path.
     """
 
     name: str
@@ -287,13 +291,17 @@ def sample(system: ReferenceSystem, steps: int, x0=None, dt: float | None = None
     The first `transient` samples are discarded so estimators see on-attractor
     data.  When transient is None the system's own default applies (zero for
     saddle-transient systems whose orbits never settle).  Returns an array of
-    shape (steps, dim).
+    shape (steps, dim); steps < 1 or transient < 0 raises ValueError.
     """
     x0 = system.x0_default if x0 is None else x0
     dt = system.dt_default if dt is None else dt
     if transient is None:
         transient = (DEFAULT_TRANSIENT if system.transient_default is None
                      else system.transient_default)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     total = transient + steps
     if system.kind == "flow":
         traj = integrate(system, x0, dt, total - 1, t0=t0)

@@ -52,6 +52,15 @@ def test_simulate_csv_and_params_echo(workdir, capsys):
     validate("simulate", payload)
 
 
+def test_simulate_negative_transient_is_usage_error(workdir, capsys):
+    # a usage error, not a run shortened to its last 5 samples
+    rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", "100",
+                       "--transient", "-5", "--out", "h.csv")
+    assert rc == 2 and out == ""
+    assert "transient must be >= 0, got -5" in err
+    assert not Path("h.csv").exists()
+
+
 def test_missing_input_is_usage_error(workdir, capsys):
     rc, out, err = run(capsys, "mi", "--input", "absent.csv")
     assert rc == 2
@@ -238,6 +247,16 @@ def test_kantz_explicit_zero_radius_is_usage_error(workdir, capsys):
                        "--eps0", "0")
     assert rc == 2 and out == ""
     assert "eps0 must be positive" in err
+
+
+@pytest.mark.parametrize("n_refs", ["0", "-2"])
+def test_kantz_nonpositive_n_refs_is_usage_error(workdir, capsys, n_refs):
+    # a usage error naming n_refs, not an empty-ball error blaming eps0
+    name = make_series(capsys, 2000)
+    rc, out, err = run(capsys, "lyapunov", "--input", name, "--m", "2", "--tau", "1",
+                       "--method", "kantz", "--horizon", "12", "--n-refs", n_refs)
+    assert rc == 2 and out == ""
+    assert f"n_refs must be >= 1, got {n_refs}" in err
 
 
 def test_identify_payload_and_model(workdir, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -56,6 +57,8 @@ def test_benettin_exact_rejects_bad_args():
         pk.benettin_exact(sys, 0)
     with pytest.raises(ValueError):
         pk.benettin_exact(sys, 100, renorm_interval=0)
+    with pytest.raises(ValueError, match="transient must be >= 0, got -3"):
+        pk.benettin_exact(sys, 100, transient=-3)
 
 
 @pytest.mark.parametrize("transient", [0, 3])
@@ -395,6 +398,67 @@ def test_float_and_array_frames_agree(henon_emb, monkeypatch):
     floats = run()
     monkeypatch.setattr(lyapunov, "_FLOAT_WIDTH", 0)
     np.testing.assert_allclose(floats, run(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("float_width", [3, 0])
+@pytest.mark.parametrize("name", ["lorenz", "henon"])
+def test_benettin_exact_states_are_sample_rows(monkeypatch, name, float_width):
+    # The variational step takes sample's integrator, on floats and on arrays;
+    # the first rhs call of each step sees the state it starts from.
+    monkeypatch.setattr(lyapunov, "_FLOAT_WIDTH", float_width)
+    system = pk.catalog(name)
+    seen = []
+
+    def rhs(x, t):
+        seen.append(list(x))
+        return system.rhs(x, t)
+
+    pk.benettin_exact(dataclasses.replace(system, rhs=rhs), 300, transient=50)
+    calls = 4 if system.kind == "flow" else 1
+    np.testing.assert_array_equal(seen[50 * calls::calls],
+                                  pk.sample(system, 300, transient=50))
+
+
+def _diagonal_linear(kind, coeffs):
+    """dx/dt = diag(coeffs) x (flow) or x -> diag(coeffs) x (map)."""
+    n = len(coeffs)
+
+    def rhs(x, t):
+        return tuple(c * v for c, v in zip(coeffs, x))
+
+    def rhs_jac(x, t):
+        return tuple(tuple(c if j == i else 0.0 for j in range(n))
+                     for i, c in enumerate(coeffs))
+
+    return pk.ReferenceSystem(f"diagonal-{kind}", kind, n, rhs, rhs_jac,
+                              x0_default=(1.0, -0.5, 2.0, 0.25), dt_default=0.05)
+
+
+@pytest.mark.parametrize("renorm_interval", [1, 7])
+def test_benettin_exact_wide_linear_flow(renorm_interval):
+    # Wider than _FLOAT_WIDTH, so the frame steps on numpy arrays.  An RK4
+    # step multiplies coordinate i by R(h a_i), R(z) = 1 + z + z^2/2 + z^3/6
+    # + z^4/24, RK4's stability polynomial.
+    a, h = (0.5, -0.2, -1.0, -3.0), 0.05
+    system = _diagonal_linear("flow", a)
+    assert system.dim > lyapunov._FLOAT_WIDTH
+    spec = pk.benettin_exact(system, 400, renorm_interval=renorm_interval,
+                             transient=10)
+    want = sorted((math.log(abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24))
+                   for z in (h * c for c in a)), reverse=True)
+    np.testing.assert_allclose(spec.exponents, want, rtol=0, atol=1e-13)
+    assert spec.dt == h
+
+
+@pytest.mark.parametrize("renorm_interval", [1, 7])
+def test_benettin_exact_wide_linear_map(renorm_interval):
+    b = (1.5, 0.9, -0.5, 0.1)
+    system = _diagonal_linear("map", b)
+    assert system.dim > lyapunov._FLOAT_WIDTH
+    spec = pk.benettin_exact(system, 150, renorm_interval=renorm_interval,
+                             transient=0)
+    want = sorted((math.log(abs(c)) for c in b), reverse=True)
+    np.testing.assert_allclose(spec.exponents, want, rtol=0, atol=1e-13)
 
 
 def test_benettin_exact_lorenz_sum_at_fine_step():

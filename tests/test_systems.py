@@ -87,6 +87,16 @@ def test_sample_shapes_and_transient():
     assert not np.allclose(led[0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("steps, transient, message", [
+    (10, -4, "transient must be >= 0, got -4"),
+    (0, 5, "steps must be >= 1, got 0"),
+])
+def test_sample_rejects_negative_transient_and_empty_runs(steps, transient, message):
+    # a negative transient would slice rows off the head of the run
+    with pytest.raises(ValueError, match=message):
+        pk.sample(pk.catalog("lorenz"), steps, transient=transient)
+
+
 def test_sample_flow_matches_rk4():
     sys = pk.catalog("lorenz")
     vals = pk.sample(sys, 3, x0=(1.0, 1.0, 1.0), dt=0.01, transient=0)
