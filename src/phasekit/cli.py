@@ -136,6 +136,8 @@ def _fit_range(args):
 
 def cmd_simulate(args) -> dict:
     system = systems.catalog(args.system)
+    if args.steps < 2:  # a written series needs at least 2 samples
+        raise ValueError(f"--steps must be >= 2, got {args.steps}")
     x0 = _parse_floats(args.x0) if args.x0 else None
     if x0 is not None and len(x0) != system.dim:
         raise ValueError(f"--x0 needs {system.dim} components for {system.name}")
@@ -526,7 +528,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except PhasekitError as exc:
+    except (PhasekitError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but it reports a failed computation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:

@@ -3,6 +3,8 @@
 Correlation sums count ordered pairs within eps, that is at squared
 Euclidean distance <= eps**2 (temporal neighbors excluded), normalized by the
 squared point count.  All dimension fits run in base-2 logs.
+scipy.spatial is imported in _pair_counts, the one place that builds trees,
+so box counting (q != 2) runs without importing it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .embedding import DelayEmbedding
 from .errors import DegenerateDataError, InsufficientDataError
@@ -89,6 +90,8 @@ def _pair_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     Each unordered pair of blocks is counted once and doubled, where a single
     tree counted with itself would visit every cross pair twice.
     """
+    from scipy.spatial import cKDTree
+
     trees = [cKDTree(points[rows]) for rows in _spatial_blocks(points)]
     counts = np.zeros(epsilons.size, dtype=np.int64)
     for i, tree in enumerate(trees):

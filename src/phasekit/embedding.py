@@ -4,6 +4,8 @@ The delay is picked at the first interior minimum of the lagged mutual
 information of the observable.  Embedded points put the newest sample first:
 row(t) = (y(t), y(t-tau), ..., y(t-(m-1)tau)) for every channel, channels
 stacked block-wise.
+scipy.spatial is imported in NeighborIndex.__init__, where the k-d tree is
+built, so a process that builds no tree never pays for its import.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateDataError, InsufficientDataError, NoInteriorMinimumWarning
 from .series import TimeSeries
@@ -214,6 +215,8 @@ class NeighborIndex:
         if self.theiler < 0:
             raise ValueError(f"theiler must be >= 0, got {self.theiler}")
         self.n = self.points.shape[0]
+        from scipy.spatial import cKDTree
+
         self.tree = cKDTree(self.points)
 
     def _order(self, query_point: np.ndarray, indices: np.ndarray):

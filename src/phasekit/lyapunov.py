@@ -425,9 +425,8 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
     The state x and frame W are stepped together as the variational system
     z = (x, W), dz = (rhs(x), J(x) W): by systems.rk4_floats for a flow and
     one application for a map, as in systems.sample, whose run gives the
-    transient.  On an autonomous system the state rows are sample's bit for
-    bit; step times are accumulated (t += dt), so on a non-autonomous flow
-    they drift from sample's by rounding.
+    transient.  Step j of the run starts at sample's time j * dt (j for a
+    map), so the state rows are sample's bit for bit, forced systems included.
     Systems of at most 3 dimensions are stepped on Python floats through
     their scalar rhs and rhs_jac, larger ones on numpy arrays by
     systems.rk4_step through f and jac.  A state that turns non-finite or
@@ -455,7 +454,6 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
             f"{system.name}: tangent propagation diverged at step 0") from None
     flow = system.kind == "flow"
     tick = dt if flow else 1.0
-    t = transient * tick  # sample's time at its row `transient`
     floats = dim <= _FLOAT_WIDTH
     if floats:
         def variational(z, t):
@@ -470,7 +468,8 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
         integrate = rk4_step
 
     def advance(i, z):
-        nonlocal t
+        j = transient + i
+        t = j * tick if j else 0.0  # as systems.integrate and iterate time step j
         try:
             z = integrate(variational, z, t, dt) if flow else variational(z, t)
             # A state past the norm limit diverged, as in systems.sample; so
@@ -481,7 +480,6 @@ def benettin_exact(system: ReferenceSystem, steps: int, x0=None,
             ok = False
         if not ok:
             raise DivergenceError(f"{system.name}: tangent propagation diverged at step {i}")
-        t += tick
         return z
 
     lam = _qr_iteration(advance, x, dim, n_exp, steps, renorm_interval, floats)

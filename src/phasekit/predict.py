@@ -12,6 +12,8 @@ successor of the newest point's k nearest neighbors outside the Theiler
 window (Farmer & Sidorowich, PRL 59, 1987; Theiler, PRA 34, 1986).  One
 neighbor query gives the rows that train it, score it by e_psi and set its
 local stability; select_prediction and the composite criterion gate it.
+scipy.spatial's hull and pdist are imported in _successor_stability, where
+they are used, so importing this module does not import scipy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
 
 from .embedding import DelayEmbedding, NeighborIndex
 from .errors import (ColdStartWarning, ConfigError, InsufficientDataError,
@@ -362,6 +362,9 @@ def _successor_stability(successors: np.ndarray) -> float:
     if successors.shape[1] == 1:
         dmax = float(successors.max() - successors.min())
     else:
+        from scipy.spatial import ConvexHull, QhullError
+        from scipy.spatial.distance import pdist
+
         try:
             hull = ConvexHull(successors)
         except QhullError:

@@ -61,6 +61,28 @@ def test_simulate_negative_transient_is_usage_error(workdir, capsys):
     assert not Path("h.csv").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_simulate_fewer_than_two_steps_is_usage_error(workdir, capsys, steps):
+    # a written series needs 2 samples: a bad flag value, not a failed run
+    rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", steps,
+                       "--out", "h.csv")
+    assert rc == 2 and out == ""
+    assert f"--steps must be >= 2, got {steps}" in err
+    assert not Path("h.csv").exists()
+
+
+def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it reports a failed computation
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(pk.systems, "sample", singular)
+    rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", "100",
+                       "--out", "h.csv")
+    assert rc == 1 and out == ""
+    assert err == "error: Singular matrix\n"
+
+
 def test_missing_input_is_usage_error(workdir, capsys):
     rc, out, err = run(capsys, "mi", "--input", "absent.csv")
     assert rc == 2
