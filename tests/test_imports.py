@@ -1,8 +1,8 @@
 """scipy is imported only where a tree, a hull or pdist is built.
 
 Every CLI command runs in a fresh interpreter, so a module-level scipy import
-costs each of them about half a second.  These checks run in subprocesses:
-in the test process an earlier test has already imported scipy.
+would add scipy.spatial's import time to each of them.  These checks run in
+subprocesses: in the test process an earlier test has already imported scipy.
 """
 
 import json
