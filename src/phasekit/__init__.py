@@ -14,10 +14,10 @@ from .embedding import (DelayEmbedding, MIProfile, NeighborIndex, default_bins,
                         embed, embedding_to_series,
                         mutual_information_profile, select_delay,
                         successor_index)
-from .errors import (ColdStartWarning, ConfigError, DegenerateDataError,
-                     DivergenceError, FormatError, InsufficientDataError,
-                     NoInteriorMinimumWarning, NoStableRegionWarning,
-                     PhasekitError, ScalingRegionError)
+from .errors import (ConfigError, DegenerateDataError, DivergenceError,
+                     FormatError, InsufficientDataError,
+                     NoInteriorMinimumWarning, PhasekitError,
+                     ScalingRegionError)
 from .fitting import SlopeFit, fit_scaling_region, fit_slope, scaling_window
 from .identify import (BasisTerm, ProjectionRecord, ReducedModel, TimeBasis,
                        build_state_sequence, estimate_x0, fit_model, fit_percent,
@@ -26,15 +26,10 @@ from .lyapunov import (DivergenceCurve, LyapunovSpectrum, RateEstimate,
                        SpectrumReport, WolfResult, benettin_data, benettin_exact,
                        divergence_rate, kantz_curve, rosenstein_curve,
                        spectrum_checks, wolf_lambda1)
-from .predict import (FeatureTransform, LocalStability,
-                      NeighborhoodTableau, PredictorModel, SelectionResult,
-                      StepwiseReport, build_tableau, composite_J,
-                      confidence_value, e_psi, fit_predictor, layout_mask,
-                      local_stability, preprocess_features,
-                      select_prediction, step_sign_feature, stepwise_reconstruct,
+from .predict import (FeatureTransform, LocalForecast, LocalStability,
+                      StepwiseReport, composite_J, local_mean_forecast,
+                      local_stability, step_sign_feature, stepwise_reconstruct,
                       value_feature)
-from .regressors import (LinearRegressor, MeanRegressor, SigmoidNetRegressor,
-                         TrainConfig, train_regressor)
 from .series import (StandardizeRecord, TimeSeries, detrend, load_csv,
                      read_numeric_table, save_csv, standardize,
                      write_numeric_table)
@@ -44,33 +39,29 @@ from .systems import (ReferenceSystem, catalog, check_jacobian, integrate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisTerm", "ColdStartWarning", "ConfigError", "ContourDescriptors",
-    "CorrelationCurve", "DegenerateDataError", "DelayEmbedding",
-    "DimensionEstimate", "DivergenceCurve", "DivergenceError",
-    "FeatureTransform", "FormatError", "InsufficientDataError",
-    "LinearRegressor", "LocalStability", "LyapunovSpectrum", "MIProfile",
-    "MeanRegressor", "NeighborIndex", "NeighborhoodTableau",
-    "NoInteriorMinimumWarning", "NoStableRegionWarning", "PhasekitError",
-    "PredictorModel", "ProjectionRecord", "RateEstimate", "ReducedModel",
-    "ReferenceSystem", "ScalingRegionError", "SelectionResult",
-    "SigmoidNetRegressor", "SlopeFit", "SpectrumReport", "StandardizeRecord",
-    "StepwiseReport", "SymmetryReport", "TimeBasis", "TimeSeries",
-    "TrainConfig", "WolfResult", "benettin_data", "benettin_exact",
-    "build_state_sequence", "build_tableau", "catalog", "check_jacobian",
-    "closeness", "composite_J", "confidence_value", "correlation_dimension",
+    "BasisTerm", "ConfigError", "ContourDescriptors", "CorrelationCurve",
+    "DegenerateDataError", "DelayEmbedding", "DimensionEstimate",
+    "DivergenceCurve", "DivergenceError", "FeatureTransform", "FormatError",
+    "InsufficientDataError", "LocalForecast", "LocalStability",
+    "LyapunovSpectrum", "MIProfile", "NeighborIndex",
+    "NoInteriorMinimumWarning", "PhasekitError", "ProjectionRecord",
+    "RateEstimate", "ReducedModel", "ReferenceSystem", "ScalingRegionError",
+    "SlopeFit", "SpectrumReport", "StandardizeRecord", "StepwiseReport",
+    "SymmetryReport", "TimeBasis", "TimeSeries", "WolfResult",
+    "benettin_data", "benettin_exact", "build_state_sequence", "catalog",
+    "check_jacobian", "closeness", "composite_J", "correlation_dimension",
     "correlation_integral", "data_diameter", "default_bins",
     "default_epsilons", "descriptors", "detrend", "dft", "divergence_rate",
-    "e_psi", "embed", "embedding_to_series", "estimate_x0", "fit_dimension",
-    "fit_model", "fit_percent", "fit_predictor", "fit_scaling_region",
-    "fit_slope", "generalized_curve", "generalized_dimension", "idft",
-    "integrate", "iterate", "kantz_curve", "kaplan_yorke", "layout_mask", "load_contour", "load_csv",
-    "load_spectrum", "local_stability", "moving_average",
-    "mutual_information_profile", "normalize", "parse_basis", "parse_term",
-    "plane_rotation", "preprocess_features", "read_numeric_table",
+    "embed", "embedding_to_series", "estimate_x0", "fit_dimension",
+    "fit_model", "fit_percent", "fit_scaling_region", "fit_slope",
+    "generalized_curve", "generalized_dimension", "idft", "integrate",
+    "iterate", "kantz_curve", "kaplan_yorke", "load_contour", "load_csv",
+    "load_spectrum", "local_mean_forecast", "local_stability",
+    "moving_average", "mutual_information_profile", "normalize",
+    "parse_basis", "parse_term", "plane_rotation", "read_numeric_table",
     "rk4_step", "rosenstein_curve", "sample", "save_contour", "save_csv",
-    "save_spectrum", "scaling_window", "select_delay", "select_prediction",
-    "simulate", "smooth", "spectrum_checks", "standardize",
-    "step_sign_feature", "stepwise_reconstruct", "successor_index",
-    "symmetry_between", "train_regressor", "value_feature", "wolf_lambda1",
-    "write_numeric_table",
+    "save_spectrum", "scaling_window", "select_delay", "simulate", "smooth",
+    "spectrum_checks", "standardize", "step_sign_feature",
+    "stepwise_reconstruct", "successor_index", "symmetry_between",
+    "value_feature", "wolf_lambda1", "write_numeric_table",
 ]

@@ -289,27 +289,22 @@ def cmd_identify(args) -> dict:
 
 
 def cmd_predict(args) -> dict:
+    if args.n_neighbors < 2:  # the stability score needs two successors
+        raise ValueError(f"--n-neighbors must be >= 2, got {args.n_neighbors}")
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     sub = successor_index(emb, 1, theiler)
     row = emb.n_points - 1
     nbrs, _ = sub.query_point(emb.points[row], emb.times[row], args.n_neighbors)
-    stab = prd.local_stability(emb, nbrs)
-    j = prd.composite_J(stab.j1, stab.j2, args.lambda_min)
-    model = prd.fit_predictor(series, emb, nbrs, (), kind="mean",
-                              target_kind="state", index=sub)
-    forecast = model.predict(series, emb, row, index=sub)
-    e_val = prd.e_psi(model, series, emb, nbrs, index=sub)
-    chosen = prd.select_prediction([(forecast, e_val)], gate=args.gate)
-    gated = j == 0.0 or chosen.gated
-    forecast = np.zeros_like(forecast) if gated else chosen.forecast
+    result = prd.local_mean_forecast(emb, nbrs, args.lambda_min, args.gate)
     params = _params(args, dt=series.dt, theiler=theiler)
     payload = {"command": "predict", "params": params,
                "config": {"m": args.m, "tau": args.tau,
                           "features": ["local_mean"]},
-               "lambda_D": stab.lambda_d, "J": j, "forecast": forecast,
-               "gated": gated, "e_psi": chosen.e_psi,
-               "n_neighbors": int(stab.j2)}
+               "lambda_D": result.stability.lambda_d, "J": result.j,
+               "forecast": result.forecast, "gated": result.gated,
+               "e_psi": result.e_psi,
+               "n_neighbors": int(result.stability.j2)}
     _emit(payload, args.out)
     return payload
 

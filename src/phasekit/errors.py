@@ -33,13 +33,5 @@ class ConfigError(PhasekitError):
     """Inconsistent or missing parameters for the requested operation."""
 
 
-class NoStableRegionWarning(UserWarning):
-    """Raised as an error's softer sibling when a search keeps only gated candidates."""
-
-
 class NoInteriorMinimumWarning(UserWarning):
     """Delay selection fell back to the global minimum of the profile."""
-
-
-class ColdStartWarning(UserWarning):
-    """A past-error feature was requested before any errors were recorded."""

@@ -116,13 +116,15 @@ def test_bad_value_is_usage_error(workdir, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("predict", "--n-neighbors", "-3"), "k must be >= 1"),
+    (("predict", "--n-neighbors", "-3"), "--n-neighbors must be >= 2, got -3"),
     (("dimension", "--theiler", "-4"), "theiler must be >= 0"),
     (("lyapunov", "--method", "rosenstein", "--theiler", "-1"),
      "theiler must be >= 0"),
     # Box counting applies no window, but a negative one is still an error.
     (("dimension", "--q", "0", "--theiler", "-4"), "theiler must be >= 0"),
     (("lyapunov", "--method", "kantz", "--theiler", "-1"), "theiler must be >= 0"),
+    # One neighbor has no successor spread to score, so no data can satisfy it.
+    (("predict", "--n-neighbors", "1"), "--n-neighbors must be >= 2, got 1"),
 ])
 def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, message):
     name = make_series(capsys, 300)
@@ -311,6 +313,31 @@ def test_predict_payload(workdir, capsys):
     payload = json.loads(out)
     validate("predict", payload)
     assert len(payload["forecast"]) == 2
+
+
+def test_predict_gates(workdir, capsys):
+    # Either gate zeroes the forecast and reports the ungated run's e_psi.
+    name = make_series(capsys)
+
+    def predict(*flags):
+        rc, out, err = run(capsys, "predict", "--input", name, "--channel", "0",
+                           "--m", "2", "--tau", "1", *flags)
+        assert rc == 0 and err == ""
+        return json.loads(out)
+
+    free = predict()
+    assert not free["gated"] and free["J"] == 4
+    emb = pk.embed(pk.load_csv(name).channel(0), 2, 1)
+    row = emb.n_points - 1
+    nbrs, _ = pk.successor_index(emb).query_point(emb.points[row], emb.times[row], 4)
+    assert free["forecast"] == cli.canonical(emb.points[nbrs + 1].mean(axis=0))
+    by_error = predict("--gate", "0")
+    assert by_error["gated"] and by_error["forecast"] == [0.0, 0.0]
+    assert (by_error["e_psi"], by_error["J"]) == (free["e_psi"], free["J"])
+    by_stability = predict("--lambda-min", str(2 * free["lambda_D"]))
+    assert by_stability["gated"] and by_stability["J"] == 0
+    assert by_stability["forecast"] == [0.0, 0.0]
+    assert by_stability["e_psi"] == free["e_psi"]
 
 
 def test_stepwise_payload(workdir, capsys):

@@ -306,8 +306,8 @@ def test_knn_on_rounded_henon_matches_brute_force(k):
                                     np.round(pk.sample(pk.catalog("henon"), 300)[:, 0], 1)])
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_query_point_outside_the_index_matches_brute_force(values, k):
-    # The successor index leaves out the last rows, whose neighbors predict
-    # and e_psi look up; on these series their k-th distance is tied.
+    # The successor index leaves out the last rows, whose neighbors the
+    # predict command looks up; on these series their k-th distance is tied.
     emb = pk.embed(pk.TimeSeries(values), 2, 1)
     sub = pk.successor_index(emb, 3)
     theiler = emb.default_theiler()
