@@ -182,9 +182,18 @@ class NeighborIndex:
     row index) ascending, with distances recomputed in numpy, so results
     coincide exactly with a brute-force scan, ties included.
 
-    query_point and knn_many run one batched routine.  It asks the tree once
-    for each query point's pool, its k + 2*theiler + 2 nearest rows in tree
-    order, and finishes each point in one of three ways:
+    query_point and knn_many run one batched routine in passes.  Each pass
+    asks the tree for every open query point's pool, its p nearest rows in
+    tree order.  The first pass takes p = min(last, 2k + 2), where last =
+    min(n, k + 2*theiler + 2) holds k admissible rows past any window of
+    distinct times; each later pass doubles p, up to last, and asks again
+    only for the points whose pool held at most k admissible rows.  A pool
+    is a prefix of the tree order, so an admissible row outside it lies at
+    least as far as the pool's (k+1)-th admissible row.  Once a pool holds
+    k+1 admissible rows, the k-th and (k+1)-th admissible tree distances are
+    those of the whole tree order: the point settles exactly as it would in
+    a pool of size last, and a cut clear in a short pool is clear there too.
+    Each point finishes in one of three ways:
     - the cut is clear: the pool holds a (k+1)-th admissible row farther than
       the k-th by more than the tree slack, or it covers every row and holds
       exactly k admissible ones.  The first k admissible rows in (numpy
@@ -193,7 +202,7 @@ class NeighborIndex:
     - a tie at the cut: the pool holds k admissible rows but the cut is not
       clear.  radius_point at the k-th numpy distance returns every
       admissible row that could rank, and its first k are the answer;
-    - the pool holds fewer than k admissible rows: ranked scans every row.
+    - the last pool holds fewer than k admissible rows: ranked scans every row.
       With distinct times a window excludes at most 2*theiler + 1 rows, so
       this happens only when times repeat or the pool covers every row.
     Every distance comes from row_distances, bit-equal to a brute-force scan.
@@ -229,38 +238,49 @@ class NeighborIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         n_q = points.shape[0]
-        pool = min(self.n, k + 2 * self.theiler + 2)
-        tree_d, idx = self.tree.query(points, k=pool)
-        tree_d = tree_d.reshape(n_q, pool)
-        idx = idx.reshape(n_q, pool)
-        adm = np.abs(self.times[idx] - times[:, None]) > self.theiler
-        count = adm.sum(axis=1)
-        # Pool columns of the first k+1 admissible candidates, in tree order.
-        cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
-        clear = (pool == self.n) & (count == k)
-        if pool > k:
-            d_cut = np.take_along_axis(tree_d, cols[:, k - 1:k + 1], axis=1)
-            clear |= (count > k) & (d_cut[:, 1] > d_cut[:, 0] * (1.0 + _TREE_SLACK))
-
         out_idx = np.empty((n_q, k), dtype=int)
         out_d = np.empty((n_q, k))
-        full = count >= k
-        if full.any():
-            cand = np.take_along_axis(idx[full], cols[full, :k], axis=1)
-            d = row_distances(self.points, cand, points[full][:, None, :])
-            # Only rows whose tree order is not (distance, row) order re-sort.
-            step_d, step_i = np.diff(d, axis=1), np.diff(cand, axis=1)
-            unsorted = np.flatnonzero(((step_d < 0) | ((step_d == 0) & (step_i < 0)))
-                                      .any(axis=1))
-            if unsorted.size:
-                order = np.lexsort((cand[unsorted], d[unsorted]))
-                cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
-                d[unsorted] = np.take_along_axis(d[unsorted], order, axis=1)
-            out_idx[full], out_d[full] = cand, d
-        for i in np.flatnonzero(full & ~clear):
+        tie = np.zeros(n_q, dtype=bool)
+        last = min(self.n, k + 2 * self.theiler + 2)
+        pool = min(last, 2 * k + 2)
+        rows = np.arange(n_q)  # query points whose pool is still too short
+        while rows.size:
+            tree_d, idx = self.tree.query(points[rows], k=pool)
+            tree_d = tree_d.reshape(rows.size, pool)
+            idx = idx.reshape(rows.size, pool)
+            adm = np.abs(self.times[idx] - times[rows, None]) > self.theiler
+            count = adm.sum(axis=1)
+            # Pool columns of the first k+1 admissible candidates, in tree order.
+            cols = np.argsort(~adm, axis=1, kind="stable")[:, :k + 1]
+            clear = (pool == self.n) & (count == k)
+            if pool > k:
+                d_cut = np.take_along_axis(tree_d, cols[:, k - 1:k + 1], axis=1)
+                clear |= (count > k) & (d_cut[:, 1] > d_cut[:, 0] * (1.0 + _TREE_SLACK))
+            # A pool with k+1 admissible rows settles its point, clear or tied;
+            # the last pool also settles the points with exactly k.
+            settled = count >= k if pool == last else count > k
+            if settled.any():
+                cand = np.take_along_axis(idx[settled], cols[settled, :k], axis=1)
+                d = row_distances(self.points, cand, points[rows[settled]][:, None, :])
+                # Only rows whose tree order is not (distance, row) order re-sort.
+                step_d, step_i = np.diff(d, axis=1), np.diff(cand, axis=1)
+                unsorted = np.flatnonzero(((step_d < 0) | ((step_d == 0) & (step_i < 0)))
+                                          .any(axis=1))
+                if unsorted.size:
+                    order = np.lexsort((cand[unsorted], d[unsorted]))
+                    cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
+                    d[unsorted] = np.take_along_axis(d[unsorted], order, axis=1)
+                out_idx[rows[settled]], out_d[rows[settled]] = cand, d
+            tie[rows[settled & ~clear]] = True
+            rows = rows[~settled]
+            if pool == last:
+                break
+            pool = min(last, 2 * pool)
+
+        for i in np.flatnonzero(tie):
             ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1])
             out_idx[i], out_d[i] = ball[:k], ball_d[:k]
-        for i in np.flatnonzero(~full):
+        for i in rows:  # fewer than k admissible rows in the last pool
             ranked, ranked_d = self.ranked(points[i], times[i])
             if ranked.size < k:
                 raise InsufficientDataError(

@@ -169,10 +169,24 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
     index excludes its own Theiler window, tau*(m-1) + 1, the delay vector's
     span plus one; that is the only window rule.
     Ties prefer smaller m, then smaller tau, then earlier feature combinations.
+    An m above the number of features is skipped, but ValueError is raised
+    when no m lies in [1, number of features], for any m or tau below 1, and
+    for a radius_frac that is not finite and positive.
     """
     feats = list(features)
     if not feats:
         raise ConfigError("no feature transforms given")
+    m_set = sorted(set(int(v) for v in m_values))
+    tau_set = sorted(set(int(v) for v in tau_values))
+    if m_set and m_set[0] < 1:
+        raise ValueError(f"m_values must be >= 1, got {m_set}")
+    if not m_set or m_set[0] > len(feats):
+        raise ValueError(f"m_values holds no m in [1, {len(feats)}], the number "
+                         f"of features; got {m_set}")
+    if not tau_set or tau_set[0] < 1:
+        raise ValueError(f"tau_values must be >= 1, got {tau_set}")
+    if not (math.isfinite(radius_frac) and radius_frac > 0):
+        raise ValueError(f"radius_frac must be finite and > 0, got {radius_frac}")
     y = series.column(channel)
     n = y.size
     cache = {}
@@ -186,13 +200,11 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
     best = None
     evaluated = 0
     gated = 0
-    for m in sorted(set(int(v) for v in m_values)):
-        if m < 1 or m > len(feats):
+    for m in m_set:
+        if m > len(feats):
             continue
         for combo in combinations(range(len(feats)), m):
-            for tau in sorted(set(int(v) for v in tau_values)):
-                if tau < 1:
-                    continue
+            for tau in tau_set:
                 evaluated += 1
                 span = (m - 1) * tau
                 k_rows = n - span

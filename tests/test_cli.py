@@ -351,6 +351,26 @@ def test_stepwise_payload(workdir, capsys):
     assert payload["configs_evaluated"] >= 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--radius-frac", "-1"), "radius_frac must be finite and > 0, got -1.0"),
+    (("--radius-frac", "0"), "radius_frac must be finite and > 0, got 0.0"),
+    (("--radius-frac", "nan"), "radius_frac must be finite and > 0, got nan"),
+    (("--m-values", "5"), "m_values holds no m in [1, 2], the number of features; "
+                          "got [5]"),
+    (("--m-values", "0,1"), "m_values must be >= 1, got [0, 1]"),
+    (("--tau-values", "0"), "tau_values must be >= 1, got [0]"),
+], ids=["radius-negative", "radius-zero", "radius-nan", "m-above-features",
+        "m-zero", "tau-zero"])
+def test_stepwise_out_of_range_flag_is_usage_error(workdir, capsys, flags, message):
+    # a usage error naming the flag, not a run that skips every configuration
+    # and then blames the stability gate
+    name = make_series(capsys, steps=3000)
+    rc, out, err = run(capsys, "stepwise", "--input", name, "--lambda-min", "0.1",
+                       *flags)
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_symmetry_payload(workdir, capsys):
     sq = "0,1\n2,1\n2,3\n0,3\n"
     Path("a.csv").write_text(sq)

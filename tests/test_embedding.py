@@ -319,6 +319,107 @@ def test_query_point_outside_the_index_matches_brute_force(values, k):
         np.testing.assert_array_equal(dist, want_d)
 
 
+def _flow_embedding(system, decimals):
+    """Channel 0 of a flow, embedded at m = 3 with the delay its workload
+    uses; decimals rounds the series first, which ties many distances."""
+    dt, tau = {"lorenz": (0.01, 17), "rossler": (0.05, 8)}[system]
+    values = pk.sample(pk.catalog(system), 1500, dt=dt)[:, 0]
+    if decimals is not None:
+        values = np.round(values, decimals)
+    return pk.embed(pk.TimeSeries(values, dt=dt), 3, tau)
+
+
+def _brute_knn_all(pts, times, k, theiler):
+    """_brute_knn for every row, a block of rows at a time."""
+    out_idx, out_d = [], []
+    for lo in range(0, len(pts), 256):
+        d = np.sqrt(np.sum((pts[None, :, :] - pts[lo:lo + 256, None, :]) ** 2, axis=-1))
+        d[np.abs(times[None, :] - times[lo:lo + 256, None]) <= theiler] = np.inf
+        # a stable sort breaks distance ties by the lower row
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        out_idx.append(order)
+        out_d.append(np.take_along_axis(d, order, axis=1))
+    return np.concatenate(out_idx), np.concatenate(out_d)
+
+
+@pytest.mark.parametrize("theiler", [0, 35, 40])
+@pytest.mark.parametrize("decimals", [None, 2])
+@pytest.mark.parametrize("system", ["lorenz", "rossler"])
+def test_staged_pools_match_brute_force_on_flows(system, decimals, theiler):
+    # A wide window on a flow settles most rows in a pool far shorter than
+    # k + 2*theiler + 2; rounding puts ties at the cut of those short pools.
+    emb = _flow_embedding(system, decimals)
+    index = pk.NeighborIndex(emb, theiler=theiler)
+    want_idx, want_d = _brute_knn_all(emb.points, emb.times, 50, theiler)
+    for k in (1, 5, 20, 50):
+        idx, dist = index.knn_many(np.arange(emb.n_points), k)
+        np.testing.assert_array_equal(idx, want_idx[:, :k])
+        np.testing.assert_array_equal(dist, want_d[:, :k])
+        for r in range(0, emb.n_points, 37):
+            q_idx, q_d = _query(index, r, k)
+            np.testing.assert_array_equal(q_idx, want_idx[r, :k])
+            np.testing.assert_array_equal(q_d, want_d[r, :k])
+
+
+class _RecordingTree:
+    """A k-d tree that records the pool size and query points of each query."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.queries = []
+
+    def query(self, x, k):
+        self.queries.append((k, np.array(x)))
+        return self.tree.query(x, k=k)
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+
+@pytest.mark.parametrize("case", ["lorenz-k1", "lorenz-k5", "lorenz-k20",
+                                  "repeated-times"])
+def test_staged_pool_schedule(case):
+    if case == "repeated-times":
+        # A walk with two rows per time stamp: a window holds up to
+        # 4*theiler + 2 rows, mostly the nearest ones, so some points reach
+        # the last pool and some run short even there.
+        rng = np.random.default_rng(11)
+        index = pk.NeighborIndex(rng.normal(size=(200, 2)).cumsum(axis=0),
+                                 np.repeat(np.arange(100), 2), theiler=3)
+        k = 5
+    else:
+        index = pk.NeighborIndex(_flow_embedding("lorenz", None), theiler=40)
+        k = int(case[len("lorenz-k"):])
+    recorder = _RecordingTree(index.tree)
+    index.tree = recorder
+    idx, dist = index.knn_many(np.arange(index.n), k)
+    want_idx, want_d = _brute_knn_all(index.points, index.times, k, index.theiler)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(dist, want_d)
+
+    last = k + 2 * index.theiler + 2
+    pool = min(last, 2 * k + 2)
+    open_rows = np.arange(index.n)
+    for passes, (asked, points) in enumerate(recorder.queries, 1):
+        # Each pass doubles the pool, up to the last one, and asks again only
+        # for the points whose pool held at most k admissible rows.
+        assert asked == pool
+        np.testing.assert_array_equal(points, index.points[open_rows])
+        _, nb = recorder.tree.query(points, k=pool)
+        admissible = np.abs(index.times[nb] - index.times[open_rows, None]) > index.theiler
+        open_rows = open_rows[admissible.sum(axis=1) <= k]
+        if pool == last:
+            break
+        pool = min(last, 2 * pool)
+    assert passes == len(recorder.queries)
+    assert open_rows.size == 0 or pool == last
+    if case == "repeated-times":
+        assert [q[0] for q in recorder.queries] == [12, last]
+        assert open_rows.size > 0  # ranked() finishes these
+    else:
+        assert len(recorder.queries) >= 2  # a flow settles most points early
+
+
 def test_knn_rejects_bad_k_and_window():
     index = pk.NeighborIndex(np.arange(10.0)[:, None], theiler=1)
     with pytest.raises(ValueError, match="k must be >= 1"):
