@@ -3,16 +3,21 @@
 Every subcommand prints one JSON document (stdout, or the file given with
 --out) whose "params" map echoes every flag of the command, with each
 default the command resolves itself (dt, x0, theiler, tau_max, bins, eps0,
-parsed lists) replaced by the value it used, so a run can be reproduced
-from its own output.  Floats in that document are formatted at 12
-significant digits; rerunning any command with the same inputs and seed
-yields byte-identical JSON.  Exit codes: 0 success, 1 computation failure,
+stepwise's m_values, parsed lists) replaced by the value it used, so a run
+can be reproduced from its own output.  Floats in that document are
+formatted at 12 significant digits; rerunning any command with the same
+inputs and seed yields byte-identical JSON.  Exit codes: 0 success, 1 computation failure,
 2 usage error (bad flags, missing files).
 
 Randomness is confined to simulate's --seed flag (default DEFAULT_SEED = 0),
 which seeds its --noise; no other command draws random numbers, so no other
 command takes a seed.  The PHASEKIT_OUT_DIR environment variable, when set,
 prefixes relative output paths.
+
+Each command imports the estimator modules it runs inside its cmd_*
+function, so a process loads only what its command uses; building the
+parser loads only this module, errors, series and systems, and checks no
+system's Jacobian.
 """
 
 from __future__ import annotations
@@ -27,14 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contours as ct
-from . import dimensions as dim
-from . import identify as idn
-from . import lyapunov as lyap
-from . import predict as prd
 from . import systems
-from .embedding import (embed, embedding_to_series, mutual_information_profile,
-                        select_delay, successor_index)
 from .errors import NoInteriorMinimumWarning, PhasekitError
 from .series import TimeSeries, load_csv, save_csv, write_numeric_table
 
@@ -111,6 +109,8 @@ def _load_series(args):
 
 
 def _load_embedding(args):
+    from .embedding import embed
+
     series = _load_series(args)
     if args.channel is not None:
         series = series.channel(args.channel)
@@ -160,6 +160,8 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_mi(args) -> dict:
+    from .embedding import mutual_information_profile, select_delay
+
     series = _load_series(args)
     tau_max = args.tau_max
     if tau_max is None:
@@ -181,6 +183,8 @@ def cmd_mi(args) -> dict:
 
 
 def cmd_embed(args) -> dict:
+    from .embedding import embedding_to_series
+
     series, emb = _load_embedding(args)
     params = _params(args, dt=series.dt)
     if args.out:
@@ -194,6 +198,8 @@ def cmd_embed(args) -> dict:
 
 
 def cmd_dimension(args) -> dict:
+    from . import dimensions as dim
+
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     fit_range = _fit_range(args)
@@ -220,6 +226,8 @@ def cmd_dimension(args) -> dict:
 
 
 def cmd_lyapunov(args) -> dict:
+    from . import lyapunov as lyap
+
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     eps0 = args.eps0
@@ -269,6 +277,8 @@ def cmd_lyapunov(args) -> dict:
 
 
 def cmd_identify(args) -> dict:
+    from . import identify as idn
+
     series, emb = _load_embedding(args)
     states, record = idn.build_state_sequence(emb, args.n)
     outputs = series.values[emb.times]
@@ -289,6 +299,9 @@ def cmd_identify(args) -> dict:
 
 
 def cmd_predict(args) -> dict:
+    from . import predict as prd
+    from .embedding import successor_index
+
     if args.n_neighbors < 2:  # the stability score needs two successors
         raise ValueError(f"--n-neighbors must be >= 2, got {args.n_neighbors}")
     series, emb = _load_embedding(args)
@@ -309,18 +322,24 @@ def cmd_predict(args) -> dict:
     return payload
 
 
-_FEATURES = {"value": prd.value_feature, "step_sign": prd.step_sign_feature}
+# --features name -> the predict function that builds that transform
+_FEATURES = {"value": "value_feature", "step_sign": "step_sign_feature"}
 
 
 def cmd_stepwise(args) -> dict:
+    from . import predict as prd
+
     series = _load_series(args)
     names = [tok.strip() for tok in args.features.split(",") if tok.strip()]
     unknown = [n for n in names if n not in _FEATURES]
     if unknown:
         raise ValueError(f"unknown features {unknown}; choose from "
                          f"{sorted(_FEATURES)}")
-    feats = [_FEATURES[n]() for n in names]
-    m_values = list(_parse_ints(args.m_values))
+    feats = [getattr(prd, _FEATURES[n])() for n in names]
+    if args.m_values is None:  # one m per feature: 1..len(features)
+        m_values = list(range(1, len(feats) + 1))
+    else:
+        m_values = list(_parse_ints(args.m_values))
     tau_values = list(_parse_ints(args.tau_values))
     report = prd.stepwise_reconstruct(series, feats, m_values, tau_values,
                                       args.lambda_min, channel=args.channel,
@@ -339,12 +358,14 @@ def cmd_stepwise(args) -> dict:
     return payload
 
 
-def _descriptor_dict(desc: ct.ContourDescriptors) -> dict:
+def _descriptor_dict(desc) -> dict:
     return {"translate": desc.translate, "scale": desc.scale,
             "angles": list(desc.angles)}
 
 
 def cmd_symmetry(args) -> dict:
+    from . import contours as ct
+
     pts_a = ct.load_contour(args.input)
     spec_a = ct.dft(pts_a)
     norm_a = ct.normalize(spec_a)
@@ -392,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a built-in system to CSV")
     p.add_argument("--system", required=True,
-                   choices=sorted(systems.catalog()),
+                   choices=systems.NAMES,
                    help="built-in system name")
     p.add_argument("--steps", type=int, required=True,
                    help="post-transient samples to write")
@@ -496,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_embedding=False)
     p.add_argument("--features", default="value,step_sign",
                    help="comma list from: " + ",".join(sorted(_FEATURES)))
-    p.add_argument("--m-values", default="1,2,3")
+    p.add_argument("--m-values", default=None,
+                   help="comma list of embedding dimensions "
+                        "(default 1 to the number of features)")
     p.add_argument("--tau-values", default="1,2,3")
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--radius-frac", type=float, default=0.25,

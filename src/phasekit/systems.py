@@ -8,9 +8,10 @@ iteration, both stepping the scalar forms on Python floats: for states of a
 few components numpy's per-call cost would outweigh the arithmetic, and the
 elementwise operations are the same IEEE operations either way.  The same
 integrators step lyapunov.benettin_exact's variational system, rk4_floats on
-floats and rk4_step on arrays (whose f and jac are the array forms).  Every
-Jacobian is checked against central finite differences the first time the
-catalog is built in a process.
+floats and rk4_step on arrays (whose f and jac are the array forms).  A
+system's Jacobian is checked against central finite differences the first
+time the catalog looks that system up in a process; NAMES lists the systems
+without building or checking any.
 """
 
 from __future__ import annotations
@@ -194,33 +195,36 @@ def check_jacobian(system: ReferenceSystem, n_states: int = 100,
     return worst
 
 
-_CATALOG_VERIFIED = False
+_FACTORIES = {
+    "lorenz": _lorenz, "rossler": _rossler, "test42": _test42,
+    "henon": _henon, "example2": _example2, "example3": _example3,
+}
+
+NAMES = tuple(sorted(_FACTORIES))
+
+_CHECKED: set[str] = set()  # names whose Jacobian passed check_jacobian
+
+
+def _checked(name: str) -> ReferenceSystem:
+    system = _FACTORIES[name]()
+    if name not in _CHECKED:
+        check_jacobian(system)
+        _CHECKED.add(name)
+    return system
 
 
 def catalog(name: str | None = None):
     """Look up a built-in system by name, or get all of them as a dict.
 
-    Jacobians are FD-checked the first time the catalog is touched in a
-    process.  Unknown names raise ConfigError listing the valid choices.
+    A system's Jacobian is FD-checked the first time it is looked up in a
+    process, so catalog(name) checks that one system and catalog() all of
+    them.  Unknown names raise ConfigError listing the valid choices.
     """
-    systems = {
-        s.name: s
-        for s in (
-            _lorenz(), _rossler(), _test42(), _henon(),
-            _example2(), _example3(),
-        )
-    }
-    global _CATALOG_VERIFIED
-    if not _CATALOG_VERIFIED:
-        for s in systems.values():
-            check_jacobian(s)
-        _CATALOG_VERIFIED = True
     if name is None:
-        return systems
-    if name not in systems:
-        raise ConfigError(
-            f"unknown system {name!r}; choose from {sorted(systems)}")
-    return systems[name]
+        return {n: _checked(n) for n in _FACTORIES}
+    if name not in _FACTORIES:
+        raise ConfigError(f"unknown system {name!r}; choose from {list(NAMES)}")
+    return _checked(name)
 
 
 def rk4_step(f: Callable, x: np.ndarray, t: float, dt: float) -> np.ndarray:

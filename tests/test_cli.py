@@ -83,15 +83,33 @@ def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
     assert err == "error: Singular matrix\n"
 
 
+# The tests of main's exit paths assert the exit code and the message
+# prefix: each command imports its estimator modules when it runs, and its
+# failures must still reach the handler that maps them to an exit code.
 def test_missing_input_is_usage_error(workdir, capsys):
     rc, out, err = run(capsys, "mi", "--input", "absent.csv")
-    assert rc == 2
-    assert "absent.csv" in err
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: ") and "absent.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", "--m", "2", "--tau", "1"), ("dimension", "--m", "2", "--tau", "1"),
+    ("lyapunov", "--m", "2", "--tau", "1", "--method", "rosenstein"),
+    ("identify", "--m", "2", "--tau", "1", "--n", "2"),
+    ("predict", "--m", "2", "--tau", "1"), ("stepwise", "--lambda-min", "0.1"),
+    ("symmetry",)], ids=lambda argv: argv[0])
+def test_missing_input_is_usage_error_in_every_command(workdir, capsys, argv):
+    rc, out, err = run(capsys, argv[0], "--input", "absent.csv", *argv[1:])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: ") and "absent.csv" in err
 
 
 def test_unknown_flag_is_usage_error(workdir, capsys):
-    rc, _, _ = run(capsys, "simulate", "--system", "henon", "--bogus", "1")
-    assert rc == 2
+    rc, out, err = run(capsys, "simulate", "--system", "henon", "--bogus", "1")
+    assert rc == 2 and out == ""
+    # argparse reports a bad command line itself: usage, then the error
+    assert err.startswith("usage: phasekit simulate ")
+    assert err.splitlines()[-1].startswith("phasekit simulate: error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,12 +191,13 @@ def test_kantz_on_quantized_data_exits_1(workdir, capsys, fit, message):
 
 
 def test_computation_error_exits_1(workdir, capsys):
+    # an ill-posed fit window
     name = make_series(capsys, 600)
-    rc, _, err = run(capsys, "dimension", "--input", name, "--channel", "0",
-                     "--m", "2", "--tau", "1",
-                     "--fit-lo", "1e-9", "--fit-hi", "2e-9")
-    assert rc == 1
-    assert err.strip() != ""
+    rc, out, err = run(capsys, "dimension", "--input", name, "--channel", "0",
+                       "--m", "2", "--tau", "1",
+                       "--fit-lo", "1e-9", "--fit-hi", "2e-9")
+    assert rc == 1 and out == ""
+    assert err == "error: fit range keeps fewer than 3 grid points\n"
 
 
 def test_mi_payload(workdir, capsys):
@@ -255,6 +274,18 @@ def test_kantz_default_radius_is_one_percent_of_diameter(workdir, capsys):
 def _constant_series(name="const.csv"):
     pk.save_csv(pk.TimeSeries(np.full(300, 2.5)), name)
     return name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dimension",), "all points coincide"),
+    (("lyapunov", "--method", "wolf"), "no admissible starting neighbor"),
+    (("identify", "--n", "2"), "embedding has numerical rank 0"),
+], ids=["dimension", "lyapunov-wolf", "identify"])
+def test_constant_series_exits_1(workdir, capsys, argv, message):
+    rc, out, err = run(capsys, argv[0], "--input", _constant_series(), "--m", "2",
+                       "--tau", "1", *argv[1:])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_kantz_default_radius_on_zero_diameter_exits_1(workdir, capsys):
@@ -349,6 +380,21 @@ def test_stepwise_payload(workdir, capsys):
     payload = json.loads(out)
     validate("stepwise", payload)
     assert payload["configs_evaluated"] >= 1
+
+
+@pytest.mark.parametrize("features, m_values, configs", [
+    ("value,step_sign", [1, 2], 9), ("value", [1], 3)], ids=["two", "one"])
+def test_stepwise_default_m_values_follow_features(workdir, capsys, features,
+                                                   m_values, configs):
+    # an omitted --m-values is 1..len(features), echoed as resolved: an m
+    # above the feature count would be skipped, so it is never the default
+    name = make_series(capsys, steps=3000)
+    rc, out, _ = run(capsys, "stepwise", "--input", name, "--lambda-min", "0.1",
+                     "--features", features)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["params"]["m_values"] == m_values
+    assert payload["configs_evaluated"] == configs
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import phasekit as pk
+from phasekit import systems
 
 
 def test_henon_map_values():
@@ -51,6 +54,53 @@ def test_catalog_listing_and_unknown_name():
             "example2", "example3"} <= set(table)
     with pytest.raises(pk.ConfigError):
         pk.catalog("nosuch")
+
+
+@pytest.fixture()
+def jacobian_checks(monkeypatch):
+    """A process in which no system has been checked yet; returns the names
+    check_jacobian is called with, in order."""
+    calls = []
+    check = systems.check_jacobian
+
+    def counting(system, *args, **kwargs):
+        calls.append(system.name)
+        return check(system, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "_CHECKED", set())
+    monkeypatch.setattr(systems, "check_jacobian", counting)
+    return calls
+
+
+def test_lookup_checks_that_system_once(jacobian_checks):
+    assert pk.catalog("henon").name == "henon"
+    assert jacobian_checks == ["henon"]
+    pk.catalog("henon")  # checked already in this process
+    pk.catalog("lorenz")
+    assert jacobian_checks == ["henon", "lorenz"]
+
+
+def test_lookup_rejects_a_wrong_jacobian(jacobian_checks, monkeypatch):
+    def wrong_henon():
+        good = systems._henon()
+        return replace(good, rhs_jac=lambda x, t: ((0.0, 1.0), (0.3, 0.0)))
+
+    monkeypatch.setitem(systems._FACTORIES, "henon", wrong_henon)
+    for _ in range(2):  # a failed check is not remembered as passed
+        with pytest.raises(AssertionError, match="jacobian of henon deviates"):
+            pk.catalog("henon")
+    assert jacobian_checks == ["henon", "henon"]
+    pk.catalog("lorenz")  # the other systems are unaffected
+
+
+def test_listing_checks_every_system(jacobian_checks):
+    table = pk.catalog()
+    assert list(table) == jacobian_checks
+    assert sorted(table) == list(systems.NAMES)
+    assert len(table) == 6
+    pk.catalog()
+    pk.catalog("henon")
+    assert len(jacobian_checks) == 6
 
 
 @pytest.mark.parametrize("name", ["henon", "lorenz", "rossler",
