@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "contours": ("ContourDescriptors", "SymmetryReport", "closeness",
-                 "descriptors", "dft", "idft", "load_contour", "load_spectrum",
+                 "descriptors", "dft", "load_contour", "load_spectrum",
                  "normalize", "plane_rotation", "save_contour",
-                 "save_spectrum", "smooth", "symmetry_between"),
+                 "save_spectrum", "symmetry_between"),
     "dimensions": ("CorrelationCurve", "DimensionEstimate",
                    "correlation_dimension", "correlation_integral",
                    "data_diameter", "default_epsilons", "fit_dimension",
-                   "generalized_curve", "generalized_dimension",
-                   "kaplan_yorke"),
+                   "generalized_curve"),
     "embedding": ("DelayEmbedding", "MIProfile", "NeighborIndex",
                   "default_bins", "embed", "embedding_to_series",
                   "mutual_information_profile", "select_delay",
@@ -43,8 +42,7 @@ _EXPORTS = {
                 "StepwiseReport", "composite_J", "local_mean_forecast",
                 "local_stability", "step_sign_feature", "stepwise_reconstruct",
                 "value_feature"),
-    "series": ("StandardizeRecord", "TimeSeries", "detrend", "load_csv",
-               "read_numeric_table", "save_csv", "standardize",
+    "series": ("TimeSeries", "load_csv", "read_numeric_table", "save_csv",
                "write_numeric_table"),
     "systems": ("ReferenceSystem", "catalog", "check_jacobian", "integrate",
                 "iterate", "rk4_step", "sample"),

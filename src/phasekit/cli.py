@@ -100,12 +100,7 @@ def _parse_ints(text: str) -> tuple:
 
 
 def _load_series(args):
-    if args.time_column:
-        if args.dt is not None:
-            raise ValueError(
-                "--dt conflicts with --time-column; the step comes from the file")
-        return load_csv(args.input, time_column=True)
-    return load_csv(args.input, dt=1.0 if args.dt is None else args.dt)
+    return load_csv(args.input, dt=args.dt, time_column=args.time_column)
 
 
 def _load_embedding(args):

@@ -35,14 +35,6 @@ def dft(points: np.ndarray) -> np.ndarray:
     return np.fft.fft(pts, axis=0)
 
 
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Vertex sequence of a spectrum (inverse of dft, carries the 1/m)."""
-    spec = np.asarray(spectrum, dtype=complex)
-    if spec.ndim != 2:
-        raise ConfigError("a spectrum must be a 2-d array")
-    return np.fft.ifft(spec, axis=0).real
-
-
 def plane_rotation(n: int, k: int, angle: float) -> np.ndarray:
     """Rotation of n-space in coordinate plane k, for row vectors.
 
@@ -191,24 +183,6 @@ def compare_normalized(a: tuple, b: tuple) -> SymmetryReport:
     return SymmetryReport(desc_b.translate - desc_a.translate,
                           desc_b.scale / desc_a.scale,
                           rotation, value, matched)
-
-
-def smooth(points: np.ndarray, harmonics: int) -> np.ndarray:
-    """Keep only the lowest `harmonics` frequencies of a contour.
-
-    Harmonic rows 0..harmonics and their conjugate mirrors survive; the rest
-    are zeroed, so the result stays real and closed.
-    """
-    if harmonics < 0:
-        raise ConfigError("harmonics must be >= 0")
-    spec = dft(points)
-    m = spec.shape[0]
-    keep = np.zeros(m, dtype=bool)
-    keep[: harmonics + 1] = True
-    if harmonics > 0:
-        keep[m - harmonics:] = True
-    spec[~keep] = 0.0
-    return idft(spec)
 
 
 def load_contour(path) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Fractal dimension estimators and the Lyapunov-dimension formula.
+"""Fractal dimension estimators: correlation sums and box counts.
 
 Correlation sums count ordered pairs within eps, that is at squared
 Euclidean distance <= eps**2 (temporal neighbors excluded), normalized by the
-squared point count.  All dimension fits run in base-2 logs.
+squared point count; see correlation_integral for the one known exception.
+Box counts give the ordinates of the Renyi dimensions D_q, which
+fit_dimension turns into an estimate.  All dimension fits run in base-2 logs.
 scipy.spatial is imported in _pair_counts, the one place that builds trees,
 so box counting (q != 2) runs without importing it.
 """
@@ -114,10 +116,14 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def correlation_integral(data, epsilons=None, theiler: int = 0) -> CorrelationCurve:
     """Fraction of ordered point pairs within eps, excluding |t_i - t_j| <= theiler.
 
-    A pair is within eps when its squared Euclidean distance is <= eps**2.
-    Pairs are counted on k-d trees over spatial blocks (each pair of blocks
-    once), and the temporally excluded near-diagonal pairs are subtracted
-    explicitly under the same squared-distance rule.
+    A pair is within eps when its squared Euclidean distance, summed over the
+    coordinates left to right, is <= eps**2.  Pairs are counted on k-d trees
+    over spatial blocks (each pair of blocks once), and the temporally
+    excluded near-diagonal pairs are subtracted explicitly under the same
+    rule.  At m >= 8 coordinates the rule can slip by one pair: scipy's
+    count_neighbors can count a pair whose squared distance lies 1 ulp past
+    a radius, so where a radius ties a pair distance to the last bit the tree
+    and the Theiler band can disagree by that pair.  No known input hits this.
     """
     points, times = _as_points(data)
     if points.ndim != 2:
@@ -211,39 +217,3 @@ def generalized_curve(data, q: float, epsilons=None):
         else:
             y[i] = float(np.log2(np.sum(p ** q)) / (q - 1.0))
     return epsilons, y
-
-
-def generalized_dimension(data, q: float, epsilons=None,
-                          fit_range: tuple | None = None) -> DimensionEstimate:
-    """Renyi dimension of order q: slope of the box-counting ordinate.
-
-    See generalized_curve for the ordinate convention and fit_dimension for
-    the window rules.
-    """
-    epsilons, y = generalized_curve(data, q, epsilons)
-    return fit_dimension(epsilons, y, q, fit_range)
-
-
-def kaplan_yorke(exponents) -> float:
-    """Lyapunov dimension d = k + S_k / |lambda_{k+1}|.
-
-    k is the largest index whose partial sum S_k stays non-negative.  All
-    partial sums non-negative gives the full dimension n; a negative leading
-    exponent gives 0.
-    """
-    lam = np.asarray(exponents, dtype=float)
-    if lam.size == 0:
-        raise ValueError("empty exponent list")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("exponents must be finite")
-    if np.any(np.diff(lam) > 0):
-        raise ValueError("exponents must be sorted in descending order")
-    if lam[0] < 0:
-        return 0.0
-    sums = np.cumsum(lam)
-    nonneg = np.nonzero(sums >= 0)[0]
-    k = int(nonneg[-1]) + 1  # count of exponents in the non-negative head
-    if k == lam.size:
-        return float(lam.size)
-    # lam[k] < 0 here: lam[k] == 0 would keep S_{k+1} = S_k non-negative.
-    return k + float(sums[k - 1]) / abs(lam[k])

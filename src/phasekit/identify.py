@@ -44,9 +44,10 @@ class BasisTerm:
 
     def __post_init__(self):
         if self.kind not in ("poly", "sin", "exp"):
-            raise ConfigError(f"unknown basis term kind {self.kind!r}")
+            raise ValueError(f"unknown basis term kind {self.kind!r}")
         if self.kind == "poly" and not 0 <= self.degree <= _MAX_POLY_DEGREE:
-            raise ConfigError(f"polynomial degree must be in [0, {_MAX_POLY_DEGREE}]")
+            raise ValueError(f"polynomial degree must be in [0, {_MAX_POLY_DEGREE}], "
+                             f"got {self.degree}")
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -88,28 +89,34 @@ class TimeBasis:
 
 
 def parse_term(token: str) -> BasisTerm:
-    """Parse "1", "t", "t^3", "sin(omega,phase)", "exp(alpha)"."""
+    """Parse "1", "t", "t^3", "sin(omega,phase)", "exp(alpha)".
+
+    Raises ValueError naming the token when it is none of these or a number
+    in it does not parse, and naming the degree when it is out of range.
+    """
     token = token.strip()
-    try:
-        if token == "1":
-            return BasisTerm("poly", degree=0)
-        if token == "t":
-            return BasisTerm("poly", degree=1)
-        if token.startswith("t^"):
-            return BasisTerm("poly", degree=int(token[2:]))
-        if token.startswith("sin(") and token.endswith(")"):
-            parts = token[4:-1].split(",")
-            if len(parts) == 1:
-                return BasisTerm("sin", omega=float(parts[0]))
-            if len(parts) == 2:
-                return BasisTerm("sin", omega=float(parts[0]),
-                                 phase=float(parts[1]))
-            raise ConfigError(f"sin term takes 1 or 2 parameters: {token!r}")
-        if token.startswith("exp(") and token.endswith(")"):
-            return BasisTerm("exp", alpha=float(token[4:-1]))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse basis term {token!r}") from exc
-    raise ConfigError(f"cannot parse basis term {token!r}")
+
+    def number(text, kind=float):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"cannot parse basis term {token!r}") from None
+
+    if token == "1":
+        return BasisTerm("poly", degree=0)
+    if token == "t":
+        return BasisTerm("poly", degree=1)
+    if token.startswith("t^"):
+        return BasisTerm("poly", degree=number(token[2:], int))
+    if token.startswith("sin(") and token.endswith(")"):
+        parts = [number(part) for part in token[4:-1].split(",")]
+        if len(parts) > 2:
+            raise ValueError(f"sin term takes 1 or 2 parameters: {token!r}")
+        return BasisTerm("sin", omega=parts[0],
+                         phase=parts[1] if len(parts) == 2 else 0.0)
+    if token.startswith("exp(") and token.endswith(")"):
+        return BasisTerm("exp", alpha=number(token[4:-1]))
+    raise ValueError(f"cannot parse basis term {token!r}")
 
 
 def parse_basis(text: str) -> TimeBasis:
@@ -162,7 +169,7 @@ def build_state_sequence(emb: DelayEmbedding, n: int) -> tuple[np.ndarray, Proje
     pts = emb.points
     k, width = pts.shape
     if not 1 <= n <= width:
-        raise ConfigError(f"n must lie in [1, {width}]")
+        raise ValueError(f"n must lie in [1, {width}], got {n}")
     mean = pts.mean(axis=0)
     centered = pts - mean
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)

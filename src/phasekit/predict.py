@@ -170,12 +170,13 @@ def stepwise_reconstruct(series: TimeSeries, features, m_values, tau_values,
     span plus one; that is the only window rule.
     Ties prefer smaller m, then smaller tau, then earlier feature combinations.
     An m above the number of features is skipped, but ValueError is raised
-    when no m lies in [1, number of features], for any m or tau below 1, and
-    for a radius_frac that is not finite and positive.
+    for an empty feature list, when no m lies in [1, number of features], for
+    any m or tau below 1, and for a radius_frac that is not finite and
+    positive.
     """
     feats = list(features)
     if not feats:
-        raise ConfigError("no feature transforms given")
+        raise ValueError("no feature transforms given")
     m_set = sorted(set(int(v) for v in m_values))
     tau_set = sorted(set(int(v) for v in tau_values))
     if m_set and m_set[0] < 1:

@@ -1,14 +1,14 @@
-"""Time-series container and CSV round-trip, detrending, standardization."""
+"""Time-series container and its CSV round-trip."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDataError, FormatError, InsufficientDataError
+from .errors import FormatError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,16 @@ def load_csv(path, dt: float | None = None, time_column: bool = False) -> TimeSe
     """Read a one-column-per-channel table, with an optional single header line.
 
     With time_column=True the first column holds sample times; dt is taken
-    from their (required uniform) spacing and must not also be passed.  The
-    default dt without a time column is 1.0.  Raises FormatError naming the
-    offending 1-based file line and column on malformed input,
-    InsufficientDataError when fewer than 2 data rows remain.
+    from their (required uniform) spacing; passing dt as well is a caller's
+    error (ValueError), raised before the file is read.  The default dt
+    without a time column is 1.0.  Raises FormatError naming the offending
+    1-based file line and column on malformed input, InsufficientDataError
+    when fewer than 2 data rows remain.
     """
+    if time_column and dt is not None:
+        raise ValueError("dt is read from the time column; drop one of them")
     data, names = read_numeric_table(path, min_rows=2)
     if time_column:
-        if dt is not None:
-            raise FormatError("dt is read from the time column; drop one of them")
         if data.shape[1] < 2:
             raise FormatError(f"{path}: a time column needs at least one "
                               "value column beside it")
@@ -200,47 +201,3 @@ def load_csv(path, dt: float | None = None, time_column: bool = False) -> TimeSe
 def save_csv(series: TimeSeries, path) -> None:
     """Write with full-precision float reprs so load_csv restores bit-equal data."""
     write_numeric_table(path, series.names, series.values)
-
-
-def detrend(series: TimeSeries, order: int = 1) -> TimeSeries:
-    """Subtract a per-channel least-squares polynomial of the given degree.
-
-    order=0 removes the mean.  Residuals of each channel are orthogonal to the
-    fitted polynomial basis, so their sum vanishes for order >= 0.
-    """
-    if order < 0:
-        raise ValueError("polynomial order must be >= 0")
-    if order >= series.n_samples:
-        raise InsufficientDataError("polynomial order must be below the sample count")
-    x = np.arange(series.n_samples, dtype=float)
-    resid = np.empty_like(series.values)
-    for c in range(series.n_channels):
-        poly = np.polynomial.Polynomial.fit(x, series.values[:, c], deg=order)
-        resid[:, c] = series.values[:, c] - poly(x)
-    return TimeSeries(resid, series.dt, series.names)
-
-
-@dataclass(frozen=True)
-class StandardizeRecord:
-    """Per-channel affine transform applied by standardize: (x - mean) / std."""
-
-    means: tuple = field(default_factory=tuple)
-    stds: tuple = field(default_factory=tuple)
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values) * np.array(self.stds) + np.array(self.means)
-
-
-def standardize(series: TimeSeries) -> tuple[TimeSeries, StandardizeRecord]:
-    """Scale every channel to zero mean and unit (population) variance."""
-    means = series.values.mean(axis=0)
-    stds = series.values.std(axis=0)
-    for c, s in enumerate(stds):
-        if s == 0.0:
-            raise DegenerateDataError(
-                f"channel {series.names[c]!r} has zero variance")
-    scaled = (series.values - means) / stds
-    return (
-        TimeSeries(scaled, series.dt, series.names),
-        StandardizeRecord(tuple(means), tuple(stds)),
-    )

@@ -143,6 +143,12 @@ def test_bad_value_is_usage_error(workdir, capsys):
     (("lyapunov", "--method", "kantz", "--theiler", "-1"), "theiler must be >= 0"),
     # One neighbor has no successor spread to score, so no data can satisfy it.
     (("predict", "--n-neighbors", "1"), "--n-neighbors must be >= 2, got 1"),
+    # No data can satisfy these either: the state count lies outside the
+    # embedding's width (2 channels, m = 2), or the basis term is malformed.
+    (("identify", "--n", "0"), "n must lie in [1, 4], got 0"),
+    (("identify", "--n", "2", "--basis", "foo"), "cannot parse basis term 'foo'"),
+    (("identify", "--n", "2", "--basis", "t^9"),
+     "polynomial degree must be in [0, 8], got 9"),
 ])
 def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, message):
     name = make_series(capsys, 300)
@@ -405,8 +411,9 @@ def test_stepwise_default_m_values_follow_features(workdir, capsys, features,
                           "got [5]"),
     (("--m-values", "0,1"), "m_values must be >= 1, got [0, 1]"),
     (("--tau-values", "0"), "tau_values must be >= 1, got [0]"),
+    (("--features", ","), "no feature transforms given"),
 ], ids=["radius-negative", "radius-zero", "radius-nan", "m-above-features",
-        "m-zero", "tau-zero"])
+        "m-zero", "tau-zero", "features-empty"])
 def test_stepwise_out_of_range_flag_is_usage_error(workdir, capsys, flags, message):
     # a usage error naming the flag, not a run that skips every configuration
     # and then blames the stability gate
@@ -480,7 +487,7 @@ def test_time_column_resolves_dt(workdir, capsys):
     rc2, _, err = run(capsys, "mi", "--input", "timed.csv", "--time-column",
                       "--dt", "0.5", "--tau-max", "5")
     assert rc2 == 2  # dt conflicts with the time column
-    assert err.strip() != ""
+    assert err.startswith("usage error: dt is read from the time column")
 
 
 def test_canonical_rounding_rules():

@@ -183,16 +183,14 @@ def test_generalized_d1_circle():
     ang = 2 * np.pi * np.arange(n) / n
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     eps = np.geomspace(0.01, 0.3, 12)
-    est = pk.generalized_dimension(pts, 1.0, epsilons=eps,
-                                   fit_range=(0.01, 0.3))
+    est = pk.fit_dimension(*pk.generalized_curve(pts, 1.0, eps), 1.0, (0.01, 0.3))
     assert est.value == pytest.approx(1.0, abs=0.1)
 
 
 def test_generalized_q2_matches_correlation_dimension(henon_emb):
     pts = henon_emb.points[:4000]
     eps = np.geomspace(0.02, 0.5, 12)
-    d2_box = pk.generalized_dimension(pts, 2.0, epsilons=eps,
-                                      fit_range=(0.02, 0.5))
+    d2_box = pk.fit_dimension(*pk.generalized_curve(pts, 2.0, eps), 2.0, (0.02, 0.5))
     curve = pk.correlation_integral(pts, epsilons=eps, theiler=1)
     d2_pairs = pk.correlation_dimension(curve, fit_range=(0.02, 0.5))
     assert abs(d2_box.value - d2_pairs.value) < 0.1
@@ -201,8 +199,7 @@ def test_generalized_q2_matches_correlation_dimension(henon_emb):
 def test_dq_non_increasing(henon_emb):
     pts = henon_emb.points[:4000]
     eps = np.geomspace(0.02, 0.5, 12)
-    ests = [pk.generalized_dimension(pts, q, epsilons=eps,
-                                     fit_range=(0.02, 0.5))
+    ests = [pk.fit_dimension(*pk.generalized_curve(pts, q, eps), q, (0.02, 0.5))
             for q in (0.0, 1.0, 2.0)]
     for lo, hi in zip(ests[1:], ests[:-1]):
         slack = 3 * (lo.stderr + hi.stderr) + 0.02
@@ -212,44 +209,6 @@ def test_dq_non_increasing(henon_emb):
 def test_generalized_constant_data_rejected():
     with pytest.raises(pk.DegenerateDataError):
         pk.generalized_curve(np.ones((50, 2)), 0.0)
-
-
-def test_kaplan_yorke_table():
-    assert pk.kaplan_yorke([0.0, -1.0]) == 1.0
-    assert pk.kaplan_yorke([-0.5, -1.0]) == 0.0
-    assert pk.kaplan_yorke([0.5, 0.1]) == 2.0  # saturation
-    assert pk.kaplan_yorke([0.9, 0.0, -14.57]) == pytest.approx(
-        2 + 0.9 / 14.57)
-
-
-def test_kaplan_yorke_zero_tail_saturates():
-    # a zero exponent never shrinks the partial sum, so the head extends
-    assert pk.kaplan_yorke([0.5, 0.0, 0.0]) == 3.0
-    assert pk.kaplan_yorke([0.0, -0.0]) == 2.0
-
-
-def test_kaplan_yorke_rejects_non_finite():
-    for lam in ([float("nan")], [1.0, float("nan")], [float("inf"), -1.0],
-                [0.5, -float("inf")]):
-        with pytest.raises(ValueError, match="finite"):
-            pk.kaplan_yorke(lam)
-
-
-def test_kaplan_yorke_requires_descending():
-    with pytest.raises(ValueError):
-        pk.kaplan_yorke([0.1, 0.5])
-
-
-@given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=6),
-       st.floats(0.01, 100.0))
-def test_kaplan_yorke_scale_covariant(lam, c):
-    lam = sorted(lam, reverse=True)
-    try:
-        base = pk.kaplan_yorke(lam)
-    except ZeroDivisionError:
-        return
-    scaled = pk.kaplan_yorke([c * v for v in lam])
-    assert scaled == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 def test_data_diameter_bounding_box():

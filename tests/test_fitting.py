@@ -91,7 +91,7 @@ def _fit_range(rng, grid):
 def test_fit_range_is_bit_equal_to_an_explicit_mask(seed, n, shuffled):
     rng = np.random.default_rng(seed)
     eps = _grid(rng, n)
-    if shuffled:  # generalized_dimension(epsilons=...) accepts any order
+    if shuffled:  # generalized_curve hands fit_dimension a caller's grid unsorted
         eps = rng.permutation(eps)
     y = _curve(rng, np.log2(eps))
     fit_range = _fit_range(rng, eps)
@@ -179,16 +179,16 @@ def test_fit_range_with_a_nan_point_names_it():
     assert est.n_fit_points == 5
 
 
-def test_generalized_dimension_counts_points_on_an_unsorted_grid():
+def test_box_dimension_counts_points_on_an_unsorted_grid():
     data = pk.sample(pk.catalog("henon"), 3000)
     eps = np.geomspace(0.01, 0.5, 12)
     order = np.random.default_rng(1).permutation(eps.size)
     fit_range = (eps[3], eps[9])
-    est = pk.generalized_dimension(data, 0.0, epsilons=eps[order], fit_range=fit_range)
+    est = pk.fit_dimension(*pk.generalized_curve(data, 0.0, eps[order]), 0.0, fit_range)
     assert est.n_fit_points == 7
     inside = eps[order][(eps[order] >= eps[3]) & (eps[order] <= eps[9])]
     assert est.window == (float(inside[0]), float(inside[-1]))
-    ordered = pk.generalized_dimension(data, 0.0, epsilons=eps, fit_range=fit_range)
+    ordered = pk.fit_dimension(*pk.generalized_curve(data, 0.0, eps), 0.0, fit_range)
     assert est.value == pytest.approx(ordered.value, rel=1e-12)
 
 

@@ -141,17 +141,21 @@ def test_parse_term_table():
     two = parse_term("sin(2.0, 0.5)")
     assert (two.omega, two.phase) == (2.0, 0.5)
     assert parse_term("exp(-0.3)").alpha == -0.3
-    for bad in ("q", "t^", "sin(1,2,3)"):
-        with pytest.raises(pk.ConfigError):
+    for bad, message in (("q", "cannot parse basis term 'q'"),
+                         ("t^", r"cannot parse basis term 't\^'"),
+                         ("sin(1,x)", r"cannot parse basis term 'sin\(1,x\)'"),
+                         ("sin(1,2,3)", "sin term takes 1 or 2 parameters"),
+                         ("t^9", r"polynomial degree must be in \[0, 8\], got 9")):
+        with pytest.raises(ValueError, match=message):
             parse_term(bad)
 
 
 def test_basis_term_validation():
     for kind in ("poly", "sin", "exp"):
         assert pk.identify.BasisTerm(kind).kind == kind
-    with pytest.raises(pk.ConfigError, match="unknown basis term kind"):
+    with pytest.raises(ValueError, match="unknown basis term kind"):
         pk.identify.BasisTerm("cos")
-    with pytest.raises(pk.ConfigError, match="polynomial degree"):
+    with pytest.raises(ValueError, match="polynomial degree"):
         pk.identify.BasisTerm("poly", degree=9)
 
 
@@ -197,7 +201,7 @@ def test_build_state_sequence_rank_guard():
     emb = pk.embed(pk.TimeSeries(np.arange(50.0)), 2, 1)
     with pytest.raises(pk.DegenerateDataError):
         pk.build_state_sequence(emb, 2)
-    with pytest.raises(pk.ConfigError):
+    with pytest.raises(ValueError, match=r"n must lie in \[1, 2\], got 3"):
         pk.build_state_sequence(emb, 3)
 
 

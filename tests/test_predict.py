@@ -186,6 +186,6 @@ def test_stepwise_all_gated():
         pk.stepwise_reconstruct(series, (geometric_feature(),),
                                 m_values=(1,), tau_values=(1,),
                                 lambda_min=1.0)
-    with pytest.raises(pk.ConfigError):
+    with pytest.raises(ValueError, match="no feature transforms given"):
         pk.stepwise_reconstruct(series, (), m_values=(1,), tau_values=(1,),
                                 lambda_min=1.0)
