@@ -133,6 +133,10 @@ def cmd_simulate(args) -> dict:
     system = systems.catalog(args.system)
     if args.steps < 2:  # a written series needs at least 2 samples
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    if args.dt is not None and not args.dt > 0.0:
+        raise ValueError(f"--dt must be > 0, got {args.dt}")
+    if not args.noise >= 0.0:
+        raise ValueError(f"--noise must be >= 0, got {args.noise}")
     x0 = _parse_floats(args.x0) if args.x0 else None
     if x0 is not None and len(x0) != system.dim:
         raise ValueError(f"--x0 needs {system.dim} components for {system.name}")
@@ -157,6 +161,8 @@ def cmd_simulate(args) -> dict:
 def cmd_mi(args) -> dict:
     from .embedding import mutual_information_profile, select_delay
 
+    if args.tau_max is not None and args.tau_max < 1:
+        raise ValueError(f"--tau-max must be >= 1, got {args.tau_max}")
     series = _load_series(args)
     tau_max = args.tau_max
     if tau_max is None:

@@ -7,10 +7,16 @@ Box counts give the ordinates of the Renyi dimensions D_q, which
 fit_dimension turns into an estimate.  All dimension fits run in base-2 logs.
 scipy.spatial is imported in _pair_counts, the one place that builds trees,
 so box counting (q != 2) runs without importing it.
+
+The pair counts of a correlation sum run block row by block row on up to one
+thread per CPU the process may use (scipy counts with the GIL released).  The
+rows add exact int64 counts, so the order in which they finish cannot change
+a count, and the sums match the one-thread route bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,21 +92,43 @@ def _spatial_blocks(points: np.ndarray) -> list:
     return blocks
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pair_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     """Ordered pairs (i, j), self-pairs included, with squared distance <= eps**2.
 
     Each unordered pair of blocks is counted once and doubled, where a single
-    tree counted with itself would visit every cross pair twice.
+    tree counted with itself would visit every cross pair twice.  Row i counts
+    block i with itself and twice with each later block; the rows run on a
+    pool of up to one thread per usable CPU, opened and joined here, or in the
+    calling thread when there is one CPU or one block.  Integer sums do not
+    depend on the order of their terms, so neither do the counts.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.spatial import cKDTree
 
     trees = [cKDTree(points[rows]) for rows in _spatial_blocks(points)]
-    counts = np.zeros(epsilons.size, dtype=np.int64)
-    for i, tree in enumerate(trees):
-        counts += tree.count_neighbors(tree, epsilons)
+
+    def row(i: int) -> np.ndarray:
+        tree = trees[i]
+        counts = tree.count_neighbors(tree, epsilons).astype(np.int64)
         for other in trees[i + 1:]:
             counts += 2 * tree.count_neighbors(other, epsilons)
-    return counts
+        return counts
+
+    workers = min(_usable_cpus(), len(trees))
+    if workers == 1:
+        rows = [row(i) for i in range(len(trees))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, range(len(trees))))
+    return np.sum(rows, axis=0, dtype=np.int64)
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -71,6 +71,26 @@ def test_simulate_fewer_than_two_steps_is_usage_error(workdir, capsys, steps):
     assert not Path("h.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lorenz", "--dt", "0"), "--dt must be > 0, got 0.0"),
+    (("lorenz", "--dt", "-0.01"), "--dt must be > 0, got -0.01"),
+    (("henon", "--dt", "0"), "--dt must be > 0, got 0.0"),  # a map ignores dt
+    # not a noise-free series echoed with "noise": -1.0
+    (("henon", "--noise", "-1"), "--noise must be >= 0, got -1.0"),
+], ids=["flow-dt-zero", "flow-dt-negative", "map-dt-zero", "noise-negative"])
+def test_simulate_bad_step_or_noise_is_usage_error(workdir, capsys, monkeypatch,
+                                                   argv, message):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated despite a bad flag value")
+
+    monkeypatch.setattr(pk.systems, "sample", integrate)
+    rc, out, err = run(capsys, "simulate", "--system", *argv, "--steps", "100",
+                       "--out", "s.csv")
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+    assert not Path("s.csv").exists()
+
+
 def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
     # LinAlgError subclasses ValueError, yet it reports a failed computation
     def singular(*args, **kwargs):
@@ -216,6 +236,22 @@ def test_mi_payload(workdir, capsys):
     assert payload["taus"] == list(range(1, 21))
     assert len(payload["values"]) == 20
     assert payload["selected_tau"] >= 1
+
+
+@pytest.mark.parametrize("tau_max", ["0", "-3"])
+def test_mi_tau_max_below_one_is_usage_error(workdir, capsys, tau_max):
+    name = make_series(capsys, 300)
+    rc, out, err = run(capsys, "mi", "--input", name, "--tau-max", tau_max)
+    assert rc == 2 and out == ""
+    assert err == f"usage error: --tau-max must be >= 1, got {tau_max}\n"
+
+
+def test_mi_tau_max_past_the_series_exits_1(workdir, capsys):
+    # whether a delay fits depends on the data, so this one is a failed run
+    name = make_series(capsys, 300)
+    rc, out, err = run(capsys, "mi", "--input", name, "--tau-max", "300")
+    assert rc == 1 and out == ""
+    assert err == "error: tau_max must lie in [1, 299]\n"
 
 
 def test_embed_payload_and_artifact(workdir, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -117,6 +119,46 @@ def test_blocked_pair_counts_match_single_tree(seed, n, width, kind, theiler):
                for off in range(1, min(theiler, n - 1) + 1))
     curve = pk.correlation_integral(pts, epsilons=eps, theiler=theiler)
     np.testing.assert_array_equal(curve.values, (want - n - band) / float(n) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["normal", "lattice", "duplicates"])
+def test_pair_counts_equal_on_one_thread_and_on_two(monkeypatch, kind):
+    # Both routes of _pair_counts: block rows in the calling thread, and on
+    # a pool sized by the usable CPUs (here forced to 1 and 2).
+    from concurrent import futures
+
+    pools = []
+
+    class Pool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    pts, eps = _test_points(7, 5 * dimensions._BLOCK_ROWS, 3, kind)
+    counts = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(dimensions, "_usable_cpus", lambda: cpus)
+        counts[cpus] = dimensions._pair_counts(pts, eps)
+    assert pools == [2]
+    assert counts[1].dtype == counts[2].dtype == np.int64
+    np.testing.assert_array_equal(counts[1], counts[2])
+    tree = cKDTree(pts)
+    np.testing.assert_array_equal(counts[2], tree.count_neighbors(tree, eps))
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    cpus = dimensions._usable_cpus()
+    assert cpus >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
+
+
+def test_correlation_integral_leaves_no_thread_behind():
+    pts, eps = _test_points(3, 4 * dimensions._BLOCK_ROWS, 2, "normal")
+    before = threading.active_count()
+    pk.correlation_integral(pts, epsilons=eps, theiler=2)
+    assert threading.active_count() == before
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 400), st.integers(1, 5),
