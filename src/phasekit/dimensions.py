@@ -9,9 +9,10 @@ scipy.spatial is imported in _pair_counts, the one place that builds trees,
 so box counting (q != 2) runs without importing it.
 
 The pair counts of a correlation sum run block row by block row on up to one
-thread per CPU the process may use (scipy counts with the GIL released).  The
-rows add exact int64 counts, so the order in which they finish cannot change
-a count, and the sums match the one-thread route bit for bit.
+thread per CPU the process may use, the calling thread among them (scipy
+counts with the GIL released).  The rows add exact int64 counts, so the order
+in which they finish cannot change a count, and the sums match the one-thread
+route bit for bit.
 """
 
 from __future__ import annotations
@@ -104,31 +105,39 @@ def _pair_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
 
     Each unordered pair of blocks is counted once and doubled, where a single
     tree counted with itself would visit every cross pair twice.  Row i counts
-    block i with itself and twice with each later block; the rows run on a
-    pool of up to one thread per usable CPU, opened and joined here, or in the
-    calling thread when there is one CPU or one block.  Integer sums do not
-    depend on the order of their terms, so neither do the counts.
+    block i with itself and twice with each later block, so the first rows
+    are the heaviest.  The calling thread and up to one helper thread per
+    further usable CPU take rows in index order until none is left; the
+    helpers run on a pool opened and joined here, and with one CPU or one
+    block there is none.
+    Integer sums do not depend on the order of their terms, so neither do the
+    counts.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     from scipy.spatial import cKDTree
 
     trees = [cKDTree(points[rows]) for rows in _spatial_blocks(points)]
+    todo = iter(range(len(trees)))  # next() on it runs under the GIL
 
-    def row(i: int) -> np.ndarray:
-        tree = trees[i]
-        counts = tree.count_neighbors(tree, epsilons).astype(np.int64)
-        for other in trees[i + 1:]:
-            counts += 2 * tree.count_neighbors(other, epsilons)
+    def count_rows() -> np.ndarray:
+        counts = np.zeros(epsilons.size, dtype=np.int64)
+        for i in todo:
+            tree = trees[i]
+            counts += tree.count_neighbors(tree, epsilons)
+            for other in trees[i + 1:]:
+                counts += 2 * tree.count_neighbors(other, epsilons)
         return counts
 
-    workers = min(_usable_cpus(), len(trees))
-    if workers == 1:
-        rows = [row(i) for i in range(len(trees))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(len(trees))))
-    return np.sum(rows, axis=0, dtype=np.int64)
+    helpers = min(_usable_cpus(), len(trees)) - 1
+    if helpers == 0:
+        return count_rows()
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        started = [pool.submit(count_rows) for _ in range(helpers)]
+        counts = count_rows()
+        for future in started:
+            counts += future.result()
+    return counts
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -123,8 +124,9 @@ def test_blocked_pair_counts_match_single_tree(seed, n, width, kind, theiler):
 
 @pytest.mark.parametrize("kind", ["normal", "lattice", "duplicates"])
 def test_pair_counts_equal_on_one_thread_and_on_two(monkeypatch, kind):
-    # Both routes of _pair_counts: block rows in the calling thread, and on
-    # a pool sized by the usable CPUs (here forced to 1 and 2).
+    # Both routes of _pair_counts: block rows in the calling thread alone,
+    # and shared with one helper per further usable CPU (here forced to 1
+    # and 2 CPUs).
     from concurrent import futures
 
     pools = []
@@ -140,11 +142,26 @@ def test_pair_counts_equal_on_one_thread_and_on_two(monkeypatch, kind):
     for cpus in (1, 2):
         monkeypatch.setattr(dimensions, "_usable_cpus", lambda: cpus)
         counts[cpus] = dimensions._pair_counts(pts, eps)
-    assert pools == [2]
+    assert pools == [1]
     assert counts[1].dtype == counts[2].dtype == np.int64
     np.testing.assert_array_equal(counts[1], counts[2])
     tree = cKDTree(pts)
     np.testing.assert_array_equal(counts[2], tree.count_neighbors(tree, eps))
+
+
+def test_pair_counts_take_each_row_once_under_fast_thread_switches(monkeypatch):
+    # More threads than cores draw rows from one shared queue; a row taken
+    # twice or dropped would change the counts.
+    pts, eps = _test_points(11, 8 * dimensions._BLOCK_ROWS, 3, "normal")
+    monkeypatch.setattr(dimensions, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = dimensions._pair_counts(pts, eps)
+    finally:
+        sys.setswitchinterval(interval)
+    tree = cKDTree(pts)
+    np.testing.assert_array_equal(counts, tree.count_neighbors(tree, eps))
 
 
 def test_usable_cpus_is_the_affinity_mask():
