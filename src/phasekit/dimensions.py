@@ -109,9 +109,8 @@ def _pair_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     are the heaviest.  The calling thread and up to one helper thread per
     further usable CPU take rows in index order until none is left; the
     helpers run on a pool opened and joined here, and with one CPU or one
-    block there is none.
-    Integer sums do not depend on the order of their terms, so neither do the
-    counts.
+    block there is none.  Integer sums do not depend on the order of their
+    terms, so the counts do not depend on which thread takes which row.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -171,7 +171,8 @@ def test_usable_cpus_is_the_affinity_mask():
         assert cpus == len(os.sched_getaffinity(0))
 
 
-def test_correlation_integral_leaves_no_thread_behind():
+def test_correlation_integral_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(dimensions, "_usable_cpus", lambda: 2)
     pts, eps = _test_points(3, 4 * dimensions._BLOCK_ROWS, 2, "normal")
     before = threading.active_count()
     pk.correlation_integral(pts, epsilons=eps, theiler=2)
