@@ -17,7 +17,10 @@ prefixes relative output paths.
 Each command imports the estimator modules it runs inside its cmd_*
 function, so a process loads only what its command uses; building the
 parser loads only this module, errors, series and systems, and checks no
-system's Jacobian.
+system's Jacobian.  main builds the parser on its first call and reuses it
+for every later call in the process: parsing leaves the parser unchanged
+and gives each call a fresh namespace.  build_parser() returns a new parser
+on every call.
 """
 
 from __future__ import annotations
@@ -99,7 +102,27 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
+def _check_dt(dt) -> None:
+    """A given --dt must be finite and > 0; checked before any input is read."""
+    if dt is None:
+        return
+    if not dt > 0.0:
+        raise ValueError(f"--dt must be > 0, got {dt}")
+    if math.isinf(dt):
+        raise ValueError(f"--dt must be finite, got {dt}")
+
+
+def _check_numbers(args, *dests) -> None:
+    """A NaN float flag is a usage error: every comparison with NaN is False,
+    so it would silently pass or fail whatever check it meets."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and math.isnan(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be a number, got nan")
+
+
 def _load_series(args):
+    _check_dt(args.dt)
     return load_csv(args.input, dt=args.dt, time_column=args.time_column)
 
 
@@ -126,6 +149,7 @@ def _fit_range(args):
     hi = getattr(args, "fit_hi", None)
     if (lo is None) != (hi is None):
         raise ValueError("--fit-lo and --fit-hi must be given together")
+    _check_numbers(args, "fit_lo", "fit_hi")
     return None if lo is None else (lo, hi)
 
 
@@ -133,8 +157,7 @@ def cmd_simulate(args) -> dict:
     system = systems.catalog(args.system)
     if args.steps < 2:  # a written series needs at least 2 samples
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
-    if args.dt is not None and not args.dt > 0.0:
-        raise ValueError(f"--dt must be > 0, got {args.dt}")
+    _check_dt(args.dt)
     if not args.noise >= 0.0:
         raise ValueError(f"--noise must be >= 0, got {args.noise}")
     x0 = _parse_floats(args.x0) if args.x0 else None
@@ -201,6 +224,7 @@ def cmd_embed(args) -> dict:
 def cmd_dimension(args) -> dict:
     from . import dimensions as dim
 
+    _check_numbers(args, "q")
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     fit_range = _fit_range(args)
@@ -305,6 +329,7 @@ def cmd_predict(args) -> dict:
 
     if args.n_neighbors < 2:  # the stability score needs two successors
         raise ValueError(f"--n-neighbors must be >= 2, got {args.n_neighbors}")
+    _check_numbers(args, "lambda_min", "gate")
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     sub = successor_index(emb, 1, theiler)
@@ -330,6 +355,7 @@ _FEATURES = {"value": "value_feature", "step_sign": "step_sign_feature"}
 def cmd_stepwise(args) -> dict:
     from . import predict as prd
 
+    _check_numbers(args, "lambda_min")
     series = _load_series(args)
     names = [tok.strip() for tok in args.features.split(",") if tok.strip()]
     unknown = [n for n in names if n not in _FEATURES]
@@ -539,10 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # main's parser, built by its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

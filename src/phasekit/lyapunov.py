@@ -228,7 +228,8 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
                 n_refs: int | None = 1000) -> DivergenceCurve:
     """Mean ln of neighborhood-averaged distances, per offset.
 
-    eps0 None takes 1% of the data diameter, which must not be 0.  Reference
+    eps0 None takes 1% of the data diameter, which must not be 0; a given
+    eps0 that is not finite and positive is a ValueError.  Reference
     points whose eps0 ball holds no admissible neighbor are skipped; if every
     ball is empty the call fails asking for a larger eps0.  n_refs (at least
     1) caps the number of (evenly spaced) reference points; None uses all.
@@ -252,8 +253,8 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
         eps0 = 0.01 * diameter
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     if n_refs is not None and n_refs < 1:
         raise ValueError(f"n_refs must be >= 1, got {n_refs}")
     n_eligible = emb.n_points - horizon

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ class TimeSeries:
     """Uniformly sampled multichannel record.
 
     values has shape (n_samples, n_channels); dt is the sampling step in the
-    caller's time units (1.0 for maps).
+    caller's time units (1.0 for maps), finite and positive.
     """
 
     values: np.ndarray
@@ -34,8 +35,8 @@ class TimeSeries:
         if not np.all(np.isfinite(v)):
             bad = np.argwhere(~np.isfinite(v))[0]
             raise FormatError(f"non-finite value at row {bad[0]}, column {bad[1]}")
-        if self.dt <= 0:
-            raise FormatError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise FormatError(f"dt must be positive and finite, got {self.dt}")
         names = tuple(self.names) if self.names else tuple(
             f"ch{i}" for i in range(v.shape[1]))
         if len(names) != v.shape[1]:
@@ -126,31 +127,33 @@ def read_numeric_table(path, min_rows: int = 2, header: bool | None = None):
     FormatError naming the offending 1-based file line and column on
     malformed input, InsufficientDataError below min_rows data rows.
 
-    The data lines go to np.loadtxt first, and to a cell-by-cell float()
-    parse, which names the bad line, when loadtxt rejects them.
+    The non-blank data lines go to np.loadtxt as they are.  Only when
+    loadtxt rejects them are their file line numbers worked out, for the
+    cell-by-cell float() parse that names the bad line and column.
     """
     lines = Path(path).read_text().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip() != ""]
-    if not rows:
+    data_lines = list(filter(str.strip, lines))  # blank lines strip to ""
+    if not data_lines:
         raise InsufficientDataError(f"{path}: empty file")
 
-    delim = "," if "," in rows[0][1] else None  # None selects whitespace mode
+    delim = "," if "," in data_lines[0] else None  # None selects whitespace mode
 
-    first_cells = _cells(rows[0][1], delim)
+    first_cells = _cells(data_lines[0], delim)
     names: tuple = ()
     is_header = (header if header is not None
                  else not all(_is_float(c) for c in first_cells))
     if is_header:
         names = tuple(first_cells)
-        rows = rows[1:]
+        data_lines = data_lines[1:]
 
-    if len(rows) < min_rows:
+    if len(data_lines) < min_rows:
         raise InsufficientDataError(f"{path}: fewer than {min_rows} data rows")
 
-    n_cols = len(_cells(rows[0][1], delim))
-    data = _loadtxt([line for _, line in rows], delim, n_cols)
+    n_cols = len(_cells(data_lines[0], delim))
+    data = _loadtxt(data_lines, delim, n_cols)
     if data is None:
-        data = _parse_cells(path, rows, delim, n_cols)
+        rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
+        data = _parse_cells(path, rows[1:] if is_header else rows, delim, n_cols)
     return data, names
 
 

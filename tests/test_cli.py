@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,6 +21,9 @@ SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+_EMBED = ("--channel", "0", "--m", "2", "--tau", "1")
 
 
 def run(capsys, *argv):
@@ -89,6 +95,66 @@ def test_simulate_bad_step_or_noise_is_usage_error(workdir, capsys, monkeypatch,
     assert rc == 2 and out == ""
     assert err == f"usage error: {message}\n"
     assert not Path("s.csv").exists()
+
+
+# Every command that reads a series takes --dt; a bad one is a usage error
+# raised before the input is read (the input here does not exist).
+_DT_COMMANDS = {
+    "mi": (), "embed": ("--m", "2", "--tau", "1"),
+    "dimension": ("--m", "2", "--tau", "1"),
+    "lyapunov": ("--m", "2", "--tau", "1", "--method", "wolf"),
+    "identify": ("--m", "2", "--tau", "1", "--n", "2"),
+    "predict": ("--m", "2", "--tau", "1"), "stepwise": ("--lambda-min", "0.1"),
+}
+
+
+@pytest.mark.parametrize("dt, message", [
+    ("0", "--dt must be > 0, got 0.0"), ("-1", "--dt must be > 0, got -1.0"),
+    ("nan", "--dt must be > 0, got nan"), ("inf", "--dt must be finite, got inf"),
+], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(_DT_COMMANDS))
+def test_bad_dt_is_usage_error_before_reading(workdir, capsys, monkeypatch, command,
+                                              dt, message):
+    def read(*args, **kwargs):
+        raise AssertionError("read the input despite a bad --dt")
+
+    monkeypatch.setattr(cli, "load_csv", read)
+    rc, out, err = run(capsys, command, "--input", "absent.csv",
+                       *_DT_COMMANDS[command], "--dt", dt)
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("system", ["lorenz", "henon"])
+def test_simulate_infinite_dt_is_usage_error(workdir, capsys, system):
+    rc, out, err = run(capsys, "simulate", "--system", system, "--steps", "100",
+                       "--dt", "inf", "--out", "s.csv")
+    assert rc == 2 and out == ""
+    assert err == "usage error: --dt must be finite, got inf\n"
+    assert not Path("s.csv").exists()
+
+
+# A NaN flag meets every comparison with False: each of these would pass or
+# fail its check silently, or fail later under a misleading message.
+@pytest.mark.parametrize("argv, message", [
+    (("lyapunov", *_EMBED, "--method", "kantz", "--eps0", "nan"),
+     "eps0 must be positive and finite, got nan"),
+    (("lyapunov", *_EMBED, "--method", "rosenstein", "--horizon", "12",
+      "--fit-lo", "2", "--fit-hi", "nan"), "--fit-hi must be a number, got nan"),
+    (("predict", *_EMBED, "--gate", "nan"), "--gate must be a number, got nan"),
+    (("predict", *_EMBED, "--lambda-min", "nan"),
+     "--lambda-min must be a number, got nan"),
+    (("stepwise", "--lambda-min", "nan"), "--lambda-min must be a number, got nan"),
+    (("dimension", *_EMBED, "--fit-lo", "nan", "--fit-hi", "0.5"),
+     "--fit-lo must be a number, got nan"),
+    (("dimension", *_EMBED, "--q", "nan"), "--q must be a number, got nan"),
+], ids=["kantz-eps0", "lyapunov-fit-hi", "predict-gate", "predict-lambda-min",
+        "stepwise-lambda-min", "dimension-fit-lo", "dimension-q"])
+def test_nan_float_flag_is_usage_error(workdir, capsys, argv, message):
+    name = make_series(capsys, 600)
+    rc, out, err = run(capsys, argv[0], "--input", name, *argv[1:])
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
@@ -573,9 +639,6 @@ def _subparser_dests():
             for name, p in sub.choices.items()}
 
 
-_EMBED = ("--channel", "0", "--m", "2", "--tau", "1")
-
-
 @pytest.mark.parametrize("argv", [
     ("simulate", "--system", "henon", "--steps", "100", "--out", "s.csv"),
     ("mi", "--tau-max", "10"),
@@ -651,3 +714,71 @@ def test_rosenstein_curve_file_matches_payload(workdir, capsys):
     assert data[:, 0].tolist() == curve["offsets"]
     assert _rounded(data[:, 1]) == curve["values"]
     assert Path("div.csv").read_text().splitlines()[1].startswith("0.0,")
+
+
+# main builds its parser once per process.  Each call below must give the
+# exit code, stdout, stderr and files that it gives as the process's first.
+_SEQUENCE = (
+    ("lyapunov", "--input", "h.csv", *_EMBED, "--method", "bogus"),  # argparse
+    ("embed", "--input", "h.csv", *_EMBED, "--dt", "0"),  # usage error
+    ("lyapunov", "--input", "h.csv", *_EMBED, "--method", "rosenstein",
+     "--horizon", "12", "--fit-lo", "50", "--fit-hi", "60"),  # computation
+    ("dimension", "--help"),
+    ("lyapunov", "--input", "h.csv", *_EMBED, "--method", "rosenstein",
+     "--horizon", "12", "--curve-out", "div.csv"),
+    ("embed", "--input", "h.csv", *_EMBED, "--out", "e.csv"),
+    ("dimension", "--input", "h.csv", *_EMBED, "--out", "d.json"),
+    ("stepwise", "--input", "h.csv", "--lambda-min", "0.1"),
+    ("simulate", "--system", "lorenz", "--steps", "50", "--out", "s.csv"),
+)
+
+
+def _run_in(directory, capsys, monkeypatch, argv):
+    """One main call in a directory of its own: (exit, stdout, stderr, files)."""
+    directory.mkdir()
+    pk.save_csv(pk.TimeSeries(pk.sample(pk.catalog("henon"), 600)), directory / "h.csv")
+    monkeypatch.chdir(directory)
+    rc, out, err = run(capsys, *argv)
+    files = {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+    return rc, out, err, files
+
+
+def test_reused_parser_leaks_no_state(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    first = []
+    for i, argv in enumerate(_SEQUENCE):
+        monkeypatch.setattr(cli, "_PARSER", None)  # as in a fresh process
+        first.append(_run_in(workdir / f"first{i}", capsys, monkeypatch, argv))
+    assert [r[0] for r in first] == [2, 2, 1, 0, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for i, argv in enumerate(_SEQUENCE):
+        assert _run_in(workdir / f"reused{i}", capsys, monkeypatch, argv) == first[i], argv
+    assert cli._PARSER is not None
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path):
+    script = """
+import sys
+from phasekit import cli
+built = []
+build = cli.build_parser
+cli.build_parser = lambda: built.append(1) or build()
+for argv in (["mi", "--bogus"], ["embed", "--input", "absent.csv", "--m", "2",
+             "--tau", "1"], ["mi", "--input", "absent.csv", "--dt", "0"]):
+    cli.main(argv)
+print(len(built))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(pk.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1"
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert first.parse_args(["mi", "--input", "x.csv"]) is not \
+        first.parse_args(["mi", "--input", "x.csv"])

@@ -280,6 +280,13 @@ def test_kantz_rejects_nonpositive_radius(henon_emb):
         pk.kantz_curve(henon_emb, eps0=0.0, horizon=5)
 
 
+@pytest.mark.parametrize("eps0", [math.nan, math.inf])
+def test_kantz_rejects_non_finite_radius(henon_emb, eps0):
+    # NaN would fail every ball and blame the radius as too small
+    with pytest.raises(ValueError, match=f"eps0 must be positive and finite, got {eps0}"):
+        pk.kantz_curve(henon_emb, eps0=eps0, horizon=5)
+
+
 def test_benettin_data_henon(henon_emb):
     spec = pk.benettin_data(henon_emb)
     lam = spec.exponents

@@ -37,6 +37,12 @@ def test_series_rejects_single_sample():
         pk.TimeSeries([1.0])
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+def test_series_rejects_bad_step(dt):
+    with pytest.raises(pk.FormatError, match="dt must be positive and finite"):
+        pk.TimeSeries([1.0, 2.0, 3.0], dt=dt)
+
+
 def test_channel_view():
     ts = pk.TimeSeries([[1.0, 2.0], [3.0, 4.0]], names=("a", "b"))
     ch = ts.channel(1)
@@ -190,3 +196,56 @@ def test_load_csv_defers_tokens_loadtxt_rejects(tmp_path):
     data, names = pk.read_numeric_table(p)
     assert names == ("a", "b")
     np.testing.assert_array_equal(data, [[10.0, 2.0], [3.0, 4.5]])
+
+
+# Blank and whitespace-only lines are skipped wherever they stand; errors
+# still name the 1-based line of the file, counting the skipped lines.
+@pytest.mark.parametrize("text", [
+    "\n  \nx,y\n1,2\n3,4\n",
+    "x,y\n1,2\n\n \t \n3,4\n",
+    "x,y\n1,2\n3,4\n\n   \n\t\n",
+    "\t\n x,y \n\n1,2\n  \n3,4\n\n",
+], ids=["start", "middle", "end", "everywhere"])
+def test_blank_lines_are_skipped(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    data, names = pk.read_numeric_table(p)
+    assert names == ("x", "y")
+    np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_crlf_line_endings(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"x,y\r\n1,2\r\n\r\n3,4.5\r\n")
+    data, names = pk.read_numeric_table(p)
+    assert names == ("x", "y")
+    np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.5]])
+    p.write_bytes(b"1 2\r\n3 4\r\n")
+    data, names = pk.read_numeric_table(p)
+    assert names == ()
+    np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "\nx,y\n\n  \n"], ids=["bare", "blanks"])
+def test_header_only_file_has_too_few_rows(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(pk.InsufficientDataError, match="fewer than 2 data rows"):
+        pk.read_numeric_table(p)
+    with pytest.raises(pk.InsufficientDataError, match="fewer than 1 data rows"):
+        pk.read_numeric_table(p, min_rows=1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n\nx,y\n1,2\n\n\n3\n", "line 7 has 1 columns, expected 2"),
+    ("  \n1,2\n\t\n3,4,5\n", "line 4 has 3 columns, expected 2"),
+    ("\nx,y\n\n1,2\n \n3,4\n\n5,oops\n", "non-numeric cell at line 8, column 2"),
+    ("\n\n1 2\n\n3 4\nfoo 6\n", "non-numeric cell at line 6, column 1"),
+    ("x,y\r\n\r\n1,2\r\n\r\n3,\r\n", "non-numeric cell at line 5, column 2"),
+], ids=["ragged-short", "ragged-long", "comma-cell", "whitespace-cell", "crlf-cell"])
+def test_errors_after_blank_lines_name_the_file_line(tmp_path, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(pk.FormatError) as err:
+        pk.read_numeric_table(p)
+    assert str(err.value) == f"{p}: {message}"
