@@ -9,6 +9,12 @@ formatted at 12 significant digits; rerunning any command with the same
 inputs and seed yields byte-identical JSON.  Exit codes: 0 success, 1 computation failure,
 2 usage error (bad flags, missing files).
 
+Flag values are checked before any input is read: the argparse type of
+each flag whose range needs no data and no other flag rejects a bad value.
+The commands check the rest (--channel, --n, --k-neighbors, --basis, the
+--x0 length, --m-values against --features, --dt with --time-column, the
+--fit-lo/--fit-hi pair and lyapunov flags the --method does not read).
+
 Randomness is confined to simulate's --seed flag (default DEFAULT_SEED = 0),
 which seeds its --noise; no other command draws random numbers, so no other
 command takes a seed.  The PHASEKIT_OUT_DIR environment variable, when set,
@@ -94,35 +100,7 @@ def _params(args, **resolved) -> dict:
     return {**flags, **resolved}
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-
-
-def _check_dt(dt) -> None:
-    """A given --dt must be finite and > 0; checked before any input is read."""
-    if dt is None:
-        return
-    if not dt > 0.0:
-        raise ValueError(f"--dt must be > 0, got {dt}")
-    if math.isinf(dt):
-        raise ValueError(f"--dt must be finite, got {dt}")
-
-
-def _check_numbers(args, *dests) -> None:
-    """A NaN float flag is a usage error: every comparison with NaN is False,
-    so it would silently pass or fail whatever check it meets."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is not None and math.isnan(value):
-            raise ValueError(f"--{dest.replace('_', '-')} must be a number, got nan")
-
-
 def _load_series(args):
-    _check_dt(args.dt)
     return load_csv(args.input, dt=args.dt, time_column=args.time_column)
 
 
@@ -136,35 +114,25 @@ def _load_embedding(args):
 
 
 def _theiler(args, emb) -> int:
-    """--theiler, or the embedding's own window; checked on every route, so
-    one that applies no window (box counting) rejects a negative one too."""
-    theiler = emb.default_theiler() if args.theiler is None else args.theiler
-    if theiler < 0:
-        raise ValueError(f"theiler must be >= 0, got {theiler}")
-    return theiler
+    return emb.default_theiler() if args.theiler is None else args.theiler
 
 
 def _fit_range(args):
-    lo = getattr(args, "fit_lo", None)
-    hi = getattr(args, "fit_hi", None)
+    """The manual fit window, or None; checked before any input is read."""
+    lo, hi = args.fit_lo, args.fit_hi
     if (lo is None) != (hi is None):
         raise ValueError("--fit-lo and --fit-hi must be given together")
-    _check_numbers(args, "fit_lo", "fit_hi")
+    if lo is not None and lo > hi:
+        raise ValueError(f"--fit-lo must be <= --fit-hi, got {lo} > {hi}")
     return None if lo is None else (lo, hi)
 
 
 def cmd_simulate(args) -> dict:
     system = systems.catalog(args.system)
-    if args.steps < 2:  # a written series needs at least 2 samples
-        raise ValueError(f"--steps must be >= 2, got {args.steps}")
-    _check_dt(args.dt)
-    if not args.noise >= 0.0:
-        raise ValueError(f"--noise must be >= 0, got {args.noise}")
-    x0 = _parse_floats(args.x0) if args.x0 else None
-    if x0 is not None and len(x0) != system.dim:
+    if args.x0 is not None and len(args.x0) != system.dim:
         raise ValueError(f"--x0 needs {system.dim} components for {system.name}")
     dt = system.dt_default if args.dt is None else args.dt
-    values = systems.sample(system, args.steps, x0=x0, dt=dt,
+    values = systems.sample(system, args.steps, x0=args.x0, dt=dt,
                             transient=args.transient)
     if args.noise > 0.0:
         rng = np.random.default_rng(args.seed)
@@ -173,7 +141,7 @@ def cmd_simulate(args) -> dict:
     out = _resolve_out(args.out)
     save_csv(series, out)
     params = _params(args, dt=dt,
-                     x0=list(system.x0_default if x0 is None else x0))
+                     x0=list(system.x0_default if args.x0 is None else args.x0))
     payload = {"command": "simulate", "params": params,
                "n_samples": series.n_samples, "n_channels": series.n_channels,
                "kind": system.kind}
@@ -184,8 +152,6 @@ def cmd_simulate(args) -> dict:
 def cmd_mi(args) -> dict:
     from .embedding import mutual_information_profile, select_delay
 
-    if args.tau_max is not None and args.tau_max < 1:
-        raise ValueError(f"--tau-max must be >= 1, got {args.tau_max}")
     series = _load_series(args)
     tau_max = args.tau_max
     if tau_max is None:
@@ -224,10 +190,9 @@ def cmd_embed(args) -> dict:
 def cmd_dimension(args) -> dict:
     from . import dimensions as dim
 
-    _check_numbers(args, "q")
+    fit_range = _fit_range(args)
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
-    fit_range = _fit_range(args)
     if args.q == 2.0:
         curve = dim.correlation_integral(emb, theiler=theiler)
         est = dim.correlation_dimension(curve, fit_range=fit_range)
@@ -250,9 +215,20 @@ def cmd_dimension(args) -> dict:
     return payload
 
 
+# lyapunov flags, None by default, that only some --method routes read
+_ROUTE_ONLY = {"fit_lo": ("rosenstein", "kantz"), "fit_hi": ("rosenstein", "kantz"),
+               "curve_out": ("rosenstein", "kantz"), "eps0": ("kantz",),
+               "k_neighbors": ("benettin",)}
+
+
 def cmd_lyapunov(args) -> dict:
     from . import lyapunov as lyap
 
+    for dest, methods in _ROUTE_ONLY.items():
+        if getattr(args, dest) is not None and args.method not in methods:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
+                             f"--method {' or '.join(methods)}")
+    fit_range = _fit_range(args)
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     eps0 = args.eps0
@@ -272,7 +248,7 @@ def cmd_lyapunov(args) -> dict:
             curve = lyap.kantz_curve(emb, args.eps0, args.horizon, theiler=theiler,
                                      n_refs=args.n_refs)
             eps0 = curve.eps0
-        rate = lyap.divergence_rate(curve, fit_range=_fit_range(args))
+        rate = lyap.divergence_rate(curve, fit_range=fit_range)
         if args.curve_out:
             write_numeric_table(_resolve_out(args.curve_out),
                                 ("offset", "mean_log_distance"),
@@ -327,9 +303,6 @@ def cmd_predict(args) -> dict:
     from . import predict as prd
     from .embedding import successor_index
 
-    if args.n_neighbors < 2:  # the stability score needs two successors
-        raise ValueError(f"--n-neighbors must be >= 2, got {args.n_neighbors}")
-    _check_numbers(args, "lambda_min", "gate")
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
     sub = successor_index(emb, 1, theiler)
@@ -355,23 +328,16 @@ _FEATURES = {"value": "value_feature", "step_sign": "step_sign_feature"}
 def cmd_stepwise(args) -> dict:
     from . import predict as prd
 
-    _check_numbers(args, "lambda_min")
     series = _load_series(args)
-    names = [tok.strip() for tok in args.features.split(",") if tok.strip()]
-    unknown = [n for n in names if n not in _FEATURES]
-    if unknown:
-        raise ValueError(f"unknown features {unknown}; choose from "
-                         f"{sorted(_FEATURES)}")
-    feats = [getattr(prd, _FEATURES[n])() for n in names]
-    if args.m_values is None:  # one m per feature: 1..len(features)
-        m_values = list(range(1, len(feats) + 1))
-    else:
-        m_values = list(_parse_ints(args.m_values))
-    tau_values = list(_parse_ints(args.tau_values))
+    feats = [getattr(prd, _FEATURES[n])() for n in args.features]
+    # an omitted --m-values is one m per feature: 1..len(features)
+    m_values = list(range(1, len(feats) + 1) if args.m_values is None
+                    else args.m_values)
+    tau_values = list(args.tau_values)
     report = prd.stepwise_reconstruct(series, feats, m_values, tau_values,
                                       args.lambda_min, channel=args.channel,
                                       radius_frac=args.radius_frac)
-    params = _params(args, dt=series.dt, features=names, m_values=m_values,
+    params = _params(args, dt=series.dt, features=list(args.features), m_values=m_values,
                      tau_values=tau_values)
     payload = {"command": "stepwise", "params": params,
                "config": {"m": report.m, "tau": report.tau,
@@ -417,18 +383,54 @@ def cmd_symmetry(args) -> dict:
     return payload
 
 
-def _add_common(p, with_embedding=True):
+def _checked(kind, ok, rule):
+    """An argparse type: the text parsed by kind, rejected unless ok(value);
+    argparse adds the flag, and calls unparsable text an invalid kind value."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
+def _int_from(low):
+    return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+
+
+def _comma_list(item, empty=()):
+    """An argparse type: a comma list of item values, blank entries dropped
+    (an empty text gives empty)."""
+    def convert(text):
+        toks = map(str.strip, text.split(","))
+        return tuple(item(tok) for tok in toks if tok) if text else empty
+    convert.__name__ = f"{item.__name__} list"
+    return convert
+
+
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_NON_NEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_NOT_NAN = _checked(float, lambda x: not math.isnan(x), "a number")
+_FINITE = _checked(float, math.isfinite, "finite")
+_FEATURE = _checked(str, _FEATURES.__contains__,
+                    "one of " + ", ".join(sorted(_FEATURES)))
+
+
+def _add_common(p, with_embedding=True, out_help="write the JSON result here"):
     p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_POSITIVE, default=None,
                    help="sampling step of the input series (default 1.0)")
     p.add_argument("--time-column", action="store_true",
                    help="read dt from a leading time column instead of --dt")
     if with_embedding:
-        p.add_argument("--m", type=int, required=True, help="embedding dimension")
-        p.add_argument("--tau", type=int, required=True, help="delay in samples")
+        p.add_argument("--m", type=_int_from(1), required=True,
+                       help="embedding dimension")
+        p.add_argument("--tau", type=_int_from(1), required=True,
+                       help="delay in samples")
         p.add_argument("--channel", type=int, default=None,
                        help="embed one channel of the input (default: all)")
-    p.add_argument("--out", default=None, help="write the JSON result here")
+    p.add_argument("--out", default=None, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,45 +444,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True,
                    choices=systems.NAMES,
                    help="built-in system name")
-    p.add_argument("--steps", type=int, required=True,
+    p.add_argument("--steps", type=_int_from(2), required=True,
                    help="post-transient samples to write")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_POSITIVE, default=None,
                    help="integration step (flows); system default if omitted")
-    p.add_argument("--x0", default=None, help="comma-separated initial state")
-    p.add_argument("--transient", type=int, default=systems.DEFAULT_TRANSIENT,
+    p.add_argument("--x0", type=_comma_list(_FINITE, empty=None), default=None,
+                   help="comma-separated initial state")
+    p.add_argument("--transient", type=_int_from(0), default=systems.DEFAULT_TRANSIENT,
                    help="leading samples to discard")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_NON_NEGATIVE, default=0.0,
                    help="additive Gaussian observation noise (std dev)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_int_from(0), default=DEFAULT_SEED,
                    help=f"seed of the --noise draws (default {DEFAULT_SEED})")
     p.add_argument("--out", required=True, help="CSV destination")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mi", help="mutual information profile and delay choice")
     _add_common(p, with_embedding=False)
-    p.add_argument("--tau-max", type=int, default=None,
+    p.add_argument("--tau-max", type=_int_from(1), default=None,
                    help="largest delay to scan (default n/4, capped at 100)")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=_int_from(2), default=None,
                    help="histogram bins (default cube-root rule)")
     p.add_argument("--channel", type=int, default=0)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("embed", help="delay-embed a series")
-    _add_common(p)
+    _add_common(p, out_help="write embedded points CSV here")
     p.set_defaults(func=cmd_embed)
-    # --out holds the embedded-points CSV for this command
-    for a in p._actions:
-        if a.dest == "out":
-            a.help = "write embedded points CSV here"
 
     p = sub.add_parser("dimension", help="correlation or box-counting dimension")
     _add_common(p)
-    p.add_argument("--q", type=float, default=2.0,
+    p.add_argument("--q", type=_NON_NEGATIVE, default=2.0,
                    help="order: 2 = pairwise correlation route, else boxes")
-    p.add_argument("--theiler", type=int, default=None)
-    p.add_argument("--fit-lo", type=float, default=None,
+    p.add_argument("--theiler", type=_int_from(0), default=None)
+    p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
                    help="lower eps bound of a manual fit window")
-    p.add_argument("--fit-hi", type=float, default=None,
+    p.add_argument("--fit-hi", type=_NOT_NAN, default=None,
                    help="upper eps bound of a manual fit window")
     p.add_argument("--curve-out", default=None,
                    help="write the log-log curve CSV here")
@@ -490,20 +489,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", required=True,
                    choices=("wolf", "rosenstein", "kantz", "benettin"))
-    p.add_argument("--theiler", type=int, default=None)
-    p.add_argument("--evolve-steps", type=int, default=1,
+    p.add_argument("--theiler", type=_int_from(0), default=None)
+    p.add_argument("--evolve-steps", type=_int_from(1), default=1,
                    help="wolf: steps between replacements")
-    p.add_argument("--horizon", type=int, default=50,
+    p.add_argument("--horizon", type=_int_from(1), default=50,
                    help="rosenstein/kantz: divergence curve length")
-    p.add_argument("--eps0", type=float, default=None,
+    p.add_argument("--eps0", type=_POSITIVE, default=None,
                    help="kantz: neighborhood radius (default 1%% of diameter)")
-    p.add_argument("--n-refs", type=int, default=1000,
+    p.add_argument("--n-refs", type=_int_from(1), default=1000,
                    help="kantz: reference point budget")
-    p.add_argument("--fit-lo", type=float, default=None,
+    p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
                    help="first offset of a manual fit window")
-    p.add_argument("--fit-hi", type=float, default=None,
+    p.add_argument("--fit-hi", type=_NOT_NAN, default=None,
                    help="last offset of a manual fit window")
-    p.add_argument("--renorm-interval", type=int, default=1,
+    p.add_argument("--renorm-interval", type=_int_from(1), default=1,
                    help="benettin: steps between re-orthonormalizations; "
                         "k > 1 loses about eps*exp((lambda1-lambda2)*k) of "
                         "relative accuracy in log r_jj per renormalization")
@@ -532,24 +531,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="one-step forecast: mean successor of "
                        "the newest point's neighbors, scored by e_psi, gated")
     _add_common(p)
-    p.add_argument("--n-neighbors", type=int, default=4)
-    p.add_argument("--lambda-min", type=float, default=0.0,
+    p.add_argument("--n-neighbors", type=_int_from(2), default=4)
+    p.add_argument("--lambda-min", type=_NOT_NAN, default=0.0,
                    help="stability gate on 1/max successor spread")
-    p.add_argument("--gate", type=float, default=None,
+    p.add_argument("--gate", type=_NOT_NAN, default=None,
                    help="error gate: e_psi at or above this zeroes the forecast")
-    p.add_argument("--theiler", type=int, default=None)
+    p.add_argument("--theiler", type=_int_from(0), default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("stepwise", help="stepwise reconstruction search")
     _add_common(p, with_embedding=False)
-    p.add_argument("--features", default="value,step_sign",
+    p.add_argument("--features", type=_comma_list(_FEATURE), default="value,step_sign",
                    help="comma list from: " + ",".join(sorted(_FEATURES)))
-    p.add_argument("--m-values", default=None,
+    p.add_argument("--m-values", type=_comma_list(_int_from(1)), default=None,
                    help="comma list of embedding dimensions "
                         "(default 1 to the number of features)")
-    p.add_argument("--tau-values", default="1,2,3")
-    p.add_argument("--lambda-min", type=float, required=True)
-    p.add_argument("--radius-frac", type=float, default=0.25,
+    p.add_argument("--tau-values", type=_comma_list(_int_from(1)), default="1,2,3")
+    p.add_argument("--lambda-min", type=_NOT_NAN, required=True)
+    p.add_argument("--radius-frac", type=_POSITIVE, default=0.25,
                    help="neighborhood radius per sqrt(m), standardized units")
     p.add_argument("--channel", type=int, default=0)
     p.set_defaults(func=cmd_stepwise)

@@ -17,6 +17,7 @@ route bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -234,10 +235,10 @@ def generalized_curve(data, q: float, epsilons=None):
     """Box-counting ordinates for D_q: (epsilons, log2(sum p^q)/(q-1)).
 
     Boxes of side eps are anchored at the bounding-box corner; the q=1
-    ordinate is the limit value sum(p log2 p).
+    ordinate is the limit value sum(p log2 p).  q must be finite and >= 0.
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
     points, _ = _as_points(data)
     if np.all(points.max(axis=0) == points.min(axis=0)):
         raise DegenerateDataError("constant data: box partition is degenerate")

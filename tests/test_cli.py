@@ -32,6 +32,23 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def error_line(err):
+    """The line that reports a usage error.  argparse prints its usage text
+    and then "phasekit <command>: error: argument --flag: ..."; a command's
+    own check prints one "usage error: ..." line and nothing else."""
+    lines = err.splitlines()
+    if lines[-1].startswith("usage error: "):
+        assert len(lines) == 1, err
+    else:
+        assert lines[0].startswith("usage: phasekit "), err
+    return lines[-1]
+
+
+def arg_error(command, flag, rule, got):
+    """argparse's line for a flag value that the flag's type rejects."""
+    return f"phasekit {command}: error: argument {flag}: must be {rule}, got {got}"
+
+
 def make_series(capsys, steps=1500, name="h.csv"):
     rc, _, _ = run(capsys, "simulate", "--system", "henon",
                    "--steps", str(steps), "--out", name)
@@ -58,12 +75,26 @@ def test_simulate_csv_and_params_echo(workdir, capsys):
     validate("simulate", payload)
 
 
+def test_simulate_empty_x0_is_the_default_state(workdir, capsys):
+    rc, default, _ = run(capsys, "simulate", "--system", "henon", "--steps", "50",
+                         "--out", "a.csv")
+    assert rc == 0
+    rc, empty, _ = run(capsys, "simulate", "--system", "henon", "--steps", "50",
+                       "--x0", "", "--out", "a.csv")
+    assert rc == 0 and empty == default  # x0 is echoed as the state used
+    # a comma alone is a state of no components, not the default
+    rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", "50",
+                       "--x0", ",", "--out", "a.csv")
+    assert rc == 2 and out == ""
+    assert error_line(err) == "usage error: --x0 needs 2 components for henon"
+
+
 def test_simulate_negative_transient_is_usage_error(workdir, capsys):
     # a usage error, not a run shortened to its last 5 samples
     rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", "100",
                        "--transient", "-5", "--out", "h.csv")
     assert rc == 2 and out == ""
-    assert "transient must be >= 0, got -5" in err
+    assert error_line(err) == arg_error("simulate", "--transient", "an integer >= 0", -5)
     assert not Path("h.csv").exists()
 
 
@@ -73,18 +104,18 @@ def test_simulate_fewer_than_two_steps_is_usage_error(workdir, capsys, steps):
     rc, out, err = run(capsys, "simulate", "--system", "henon", "--steps", steps,
                        "--out", "h.csv")
     assert rc == 2 and out == ""
-    assert f"--steps must be >= 2, got {steps}" in err
+    assert error_line(err) == arg_error("simulate", "--steps", "an integer >= 2", steps)
     assert not Path("h.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("lorenz", "--dt", "0"), "--dt must be > 0, got 0.0"),
-    (("lorenz", "--dt", "-0.01"), "--dt must be > 0, got -0.01"),
-    (("henon", "--dt", "0"), "--dt must be > 0, got 0.0"),  # a map ignores dt
-    (("lorenz", "--dt", "inf"), "--dt must be finite, got inf"),
-    (("henon", "--dt", "inf"), "--dt must be finite, got inf"),
+    (("lorenz", "--dt", "0"), "--dt: must be finite and > 0, got 0"),
+    (("lorenz", "--dt", "-0.01"), "--dt: must be finite and > 0, got -0.01"),
+    (("henon", "--dt", "0"), "--dt: must be finite and > 0, got 0"),  # a map ignores dt
+    (("lorenz", "--dt", "inf"), "--dt: must be finite and > 0, got inf"),
+    (("henon", "--dt", "inf"), "--dt: must be finite and > 0, got inf"),
     # not a noise-free series echoed with "noise": -1.0
-    (("henon", "--noise", "-1"), "--noise must be >= 0, got -1.0"),
+    (("henon", "--noise", "-1"), "--noise: must be finite and >= 0, got -1"),
 ], ids=["flow-dt-zero", "flow-dt-negative", "map-dt-zero", "flow-dt-inf", "map-dt-inf",
         "noise-negative"])
 def test_simulate_bad_step_or_noise_is_usage_error(workdir, capsys, monkeypatch,
@@ -96,12 +127,12 @@ def test_simulate_bad_step_or_noise_is_usage_error(workdir, capsys, monkeypatch,
     rc, out, err = run(capsys, "simulate", "--system", *argv, "--steps", "100",
                        "--out", "s.csv")
     assert rc == 2 and out == ""
-    assert err == f"usage error: {message}\n"
+    assert error_line(err) == f"phasekit simulate: error: argument {message}"
     assert not Path("s.csv").exists()
 
 
-# Every command that reads a series takes --dt; a bad one is a usage error
-# raised before the input is read (the input here does not exist).
+# Every command that reads a series takes --dt; the parser rejects a bad one
+# before the input is read (the input here does not exist).
 _DT_COMMANDS = {
     "mi": (), "embed": ("--m", "2", "--tau", "1"),
     "dimension": ("--m", "2", "--tau", "1"),
@@ -111,13 +142,11 @@ _DT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("dt, message", [
-    ("0", "--dt must be > 0, got 0.0"), ("-1", "--dt must be > 0, got -1.0"),
-    ("nan", "--dt must be > 0, got nan"), ("inf", "--dt must be finite, got inf"),
-], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"],
+                         ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("command", sorted(_DT_COMMANDS))
 def test_bad_dt_is_usage_error_before_reading(workdir, capsys, monkeypatch, command,
-                                              dt, message):
+                                              dt):
     def read(*args, **kwargs):
         raise AssertionError("read the input despite a bad --dt")
 
@@ -125,30 +154,125 @@ def test_bad_dt_is_usage_error_before_reading(workdir, capsys, monkeypatch, comm
     rc, out, err = run(capsys, command, "--input", "absent.csv",
                        *_DT_COMMANDS[command], "--dt", dt)
     assert rc == 2 and out == ""
-    assert err == f"usage error: {message}\n"
+    assert error_line(err) == arg_error(command, "--dt", "finite and > 0", dt)
+
+
+_WOLF = ("lyapunov", *_EMBED, "--method", "wolf")
+_ROSENSTEIN = ("lyapunov", *_EMBED, "--method", "rosenstein")
+_SIMULATE = ("simulate", "--system", "henon", "--steps", "100")
+_ROUTE_FLAG = "usage error: --{} applies only to --method {}"
+_FIT_ROUTES = "rosenstein or kantz"
+
+
+# Each of these exits 2 before the input is read (it does not exist here) or
+# a system is integrated, and writes no file.  The parser rejects a value that
+# no data can make valid; the command rejects a lyapunov flag given to a
+# --method that does not read it, and a reversed fit range.
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(("mi", "--bins", "1"), arg_error("mi", "--bins", "an integer >= 2", 1),
+                 id="bins-1"),
+    pytest.param((*_ROSENSTEIN, "--horizon", "0"),
+                 arg_error("lyapunov", "--horizon", "an integer >= 1", 0),
+                 id="horizon-0"),
+    pytest.param((*_WOLF, "--evolve-steps", "0"),
+                 arg_error("lyapunov", "--evolve-steps", "an integer >= 1", 0),
+                 id="evolve-steps-0"),
+    pytest.param(("lyapunov", *_EMBED, "--method", "benettin", "--renorm-interval", "0"),
+                 arg_error("lyapunov", "--renorm-interval", "an integer >= 1", 0),
+                 id="renorm-interval-0"),
+    pytest.param((*_SIMULATE, "--seed", "-1"),
+                 arg_error("simulate", "--seed", "an integer >= 0", -1),
+                 id="seed-negative"),
+    pytest.param((*_SIMULATE, "--noise", "inf"),
+                 arg_error("simulate", "--noise", "finite and >= 0", "inf"),
+                 id="noise-inf"),
+    pytest.param((*_SIMULATE, "--x0", "nan,0"),
+                 arg_error("simulate", "--x0", "finite", "nan"), id="x0-nan"),
+    pytest.param(("dimension", *_EMBED, "--q", "inf"),
+                 arg_error("dimension", "--q", "finite and >= 0", "inf"), id="q-inf"),
+    pytest.param(("stepwise", "--lambda-min", "0.1", "--features", "value,bogus"),
+                 arg_error("stepwise", "--features", "one of step_sign, value", "bogus"),
+                 id="features-bogus"),
+    pytest.param(("stepwise", "--lambda-min", "0.1", "--tau-values", "0"),
+                 arg_error("stepwise", "--tau-values", "an integer >= 1", 0),
+                 id="tau-values-0"),
+    # text that the flag's type cannot parse: argparse names the type
+    pytest.param(("simulate", "--system", "henon", "--steps", "abc"),
+                 "phasekit simulate: error: argument --steps: invalid int value: 'abc'",
+                 id="steps-text"),
+    pytest.param((*_SIMULATE, "--x0", "1,a"),
+                 "phasekit simulate: error: argument --x0: invalid float list value: "
+                 "'1,a'", id="x0-text"),
+    pytest.param((*_WOLF, "--fit-lo", "3", "--fit-hi", "4"),
+                 _ROUTE_FLAG.format("fit-lo", _FIT_ROUTES), id="wolf-fit-range"),
+    pytest.param(("lyapunov", *_EMBED, "--method", "benettin", "--fit-lo", "3"),
+                 _ROUTE_FLAG.format("fit-lo", _FIT_ROUTES), id="benettin-fit-lo"),
+    pytest.param((*_WOLF, "--curve-out", "c.csv"),
+                 _ROUTE_FLAG.format("curve-out", _FIT_ROUTES), id="wolf-curve-out"),
+    pytest.param((*_ROSENSTEIN, "--eps0", "0.1"), _ROUTE_FLAG.format("eps0", "kantz"),
+                 id="rosenstein-eps0"),
+    pytest.param(("lyapunov", *_EMBED, "--method", "kantz", "--k-neighbors", "5"),
+                 _ROUTE_FLAG.format("k-neighbors", "benettin"), id="kantz-k-neighbors"),
+    pytest.param(("dimension", *_EMBED, "--fit-lo", "0.5", "--fit-hi", "0.1"),
+                 "usage error: --fit-lo must be <= --fit-hi, got 0.5 > 0.1",
+                 id="dimension-fit-reversed"),
+    pytest.param((*_ROSENSTEIN, "--fit-lo", "8", "--fit-hi", "2"),
+                 "usage error: --fit-lo must be <= --fit-hi, got 8.0 > 2.0",
+                 id="lyapunov-fit-reversed"),
+])
+def test_bad_flag_exits_2_before_any_work(workdir, capsys, monkeypatch, argv, line):
+    def work(*args, **kwargs):
+        raise AssertionError("read or integrated despite a bad flag")
+
+    monkeypatch.setattr(cli, "load_csv", work)
+    monkeypatch.setattr(pk.systems, "sample", work)
+    files = ("--out", "s.csv") if argv[0] == "simulate" else ("--input", "absent.csv")
+    rc, out, err = run(capsys, *argv, *files)
+    assert rc == 2 and out == ""
+    assert error_line(err) == line
+    assert list(workdir.iterdir()) == []
+
+
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Flags whose type is a bare int: their commands check them against the data
+# (--channel, --n, --k-neighbors) or read any value (--smooth-window below 2
+# means no smoothing).
+_UNRANGED_FLAGS = {"channel", "n", "k_neighbors", "smooth_window"}
+
+
+def test_every_bare_number_flag_is_declared_unranged():
+    # a new int or float flag needs a type that rejects its bad values, or a
+    # place on the list above
+    bare = {a.dest for p in _subparsers().values() for a in p._actions
+            if a.type in (int, float)}
+    assert bare == _UNRANGED_FLAGS
 
 
 # A NaN flag meets every comparison with False: each of these would pass or
 # fail its check silently, or fail later under a misleading message.
 @pytest.mark.parametrize("argv, message", [
     (("lyapunov", *_EMBED, "--method", "kantz", "--eps0", "nan"),
-     "eps0 must be positive and finite, got nan"),
+     "--eps0: must be finite and > 0, got nan"),
     (("lyapunov", *_EMBED, "--method", "rosenstein", "--horizon", "12",
-      "--fit-lo", "2", "--fit-hi", "nan"), "--fit-hi must be a number, got nan"),
-    (("predict", *_EMBED, "--gate", "nan"), "--gate must be a number, got nan"),
+      "--fit-lo", "2", "--fit-hi", "nan"), "--fit-hi: must be a number, got nan"),
+    (("predict", *_EMBED, "--gate", "nan"), "--gate: must be a number, got nan"),
     (("predict", *_EMBED, "--lambda-min", "nan"),
-     "--lambda-min must be a number, got nan"),
-    (("stepwise", "--lambda-min", "nan"), "--lambda-min must be a number, got nan"),
+     "--lambda-min: must be a number, got nan"),
+    (("stepwise", "--lambda-min", "nan"), "--lambda-min: must be a number, got nan"),
     (("dimension", *_EMBED, "--fit-lo", "nan", "--fit-hi", "0.5"),
-     "--fit-lo must be a number, got nan"),
-    (("dimension", *_EMBED, "--q", "nan"), "--q must be a number, got nan"),
+     "--fit-lo: must be a number, got nan"),
+    (("dimension", *_EMBED, "--q", "nan"), "--q: must be finite and >= 0, got nan"),
 ], ids=["kantz-eps0", "lyapunov-fit-hi", "predict-gate", "predict-lambda-min",
         "stepwise-lambda-min", "dimension-fit-lo", "dimension-q"])
 def test_nan_float_flag_is_usage_error(workdir, capsys, argv, message):
     name = make_series(capsys, 600)
     rc, out, err = run(capsys, argv[0], "--input", name, *argv[1:])
     assert rc == 2 and out == ""
-    assert err == f"usage error: {message}\n"
+    assert error_line(err) == f"phasekit {argv[0]}: error: argument {message}"
 
 
 def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
@@ -213,29 +337,40 @@ def test_bad_value_is_usage_error(workdir, capsys):
     assert err.strip() != ""
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("predict", "--n-neighbors", "-3"), "--n-neighbors must be >= 2, got -3"),
-    (("dimension", "--theiler", "-4"), "theiler must be >= 0"),
+@pytest.mark.parametrize("argv, line", [
+    (("predict", "--n-neighbors", "-3"),
+     arg_error("predict", "--n-neighbors", "an integer >= 2", -3)),
+    (("dimension", "--theiler", "-4"),
+     arg_error("dimension", "--theiler", "an integer >= 0", -4)),
     (("lyapunov", "--method", "rosenstein", "--theiler", "-1"),
-     "theiler must be >= 0"),
+     arg_error("lyapunov", "--theiler", "an integer >= 0", -1)),
     # Box counting applies no window, but a negative one is still an error.
-    (("dimension", "--q", "0", "--theiler", "-4"), "theiler must be >= 0"),
-    (("lyapunov", "--method", "kantz", "--theiler", "-1"), "theiler must be >= 0"),
+    (("dimension", "--q", "0", "--theiler", "-4"),
+     arg_error("dimension", "--theiler", "an integer >= 0", -4)),
+    (("lyapunov", "--method", "kantz", "--theiler", "-1"),
+     arg_error("lyapunov", "--theiler", "an integer >= 0", -1)),
     # One neighbor has no successor spread to score, so no data can satisfy it.
-    (("predict", "--n-neighbors", "1"), "--n-neighbors must be >= 2, got 1"),
-    # No data can satisfy these either: the state count lies outside the
-    # embedding's width (2 channels, m = 2), or the basis term is malformed.
-    (("identify", "--n", "0"), "n must lie in [1, 4], got 0"),
-    (("identify", "--n", "2", "--basis", "foo"), "cannot parse basis term 'foo'"),
+    (("predict", "--n-neighbors", "1"),
+     arg_error("predict", "--n-neighbors", "an integer >= 2", 1)),
+    # These depend on the embedding or need the identify module, so the
+    # command checks them: the state count lies outside the embedding's
+    # width (2 channels, m = 2), or the basis term is malformed.
+    (("identify", "--n", "0"), "usage error: n must lie in [1, 4], got 0"),
+    (("identify", "--n", "2", "--basis", "foo"),
+     "usage error: cannot parse basis term 'foo'"),
     (("identify", "--n", "2", "--basis", "t^9"),
-     "polynomial degree must be in [0, 8], got 9"),
-])
-def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, message):
+     "usage error: polynomial degree must be in [0, 8], got 9"),
+], ids=["argv0---n-neighbors must be >= 2, got -3", "argv1-theiler must be >= 0",
+        "argv2-theiler must be >= 0", "argv3-theiler must be >= 0",
+        "argv4-theiler must be >= 0", "argv5---n-neighbors must be >= 2, got 1",
+        "argv6-n must lie in [1, 4], got 0", "argv7-cannot parse basis term 'foo'",
+        "argv8-polynomial degree must be in [0, 8], got 9"])
+def test_bad_neighbor_count_or_window_is_usage_error(workdir, capsys, argv, line):
     name = make_series(capsys, 300)
     rc, out, err = run(capsys, argv[0], "--input", name, "--m", "2", "--tau", "1",
                        *argv[1:])
     assert rc == 2 and out == ""
-    assert err.startswith("usage error: ") and message in err
+    assert error_line(err) == line
 
 
 @pytest.mark.parametrize("argv", [("mi",), ("embed", "--m", "2", "--tau", "1")])
@@ -303,7 +438,7 @@ def test_mi_tau_max_below_one_is_usage_error(workdir, capsys, tau_max):
     name = make_series(capsys, 300)
     rc, out, err = run(capsys, "mi", "--input", name, "--tau-max", tau_max)
     assert rc == 2 and out == ""
-    assert err == f"usage error: --tau-max must be >= 1, got {tau_max}\n"
+    assert error_line(err) == arg_error("mi", "--tau-max", "an integer >= 1", tau_max)
 
 
 def test_mi_tau_max_past_the_series_exits_1(workdir, capsys):
@@ -403,17 +538,17 @@ def test_kantz_explicit_zero_radius_is_usage_error(workdir, capsys):
                        "--m", "2", "--tau", "1", "--method", "kantz",
                        "--eps0", "0")
     assert rc == 2 and out == ""
-    assert "eps0 must be positive" in err
+    assert error_line(err) == arg_error("lyapunov", "--eps0", "finite and > 0", 0)
 
 
 @pytest.mark.parametrize("n_refs", ["0", "-2"])
 def test_kantz_nonpositive_n_refs_is_usage_error(workdir, capsys, n_refs):
-    # a usage error naming n_refs, not an empty-ball error blaming eps0
+    # a usage error naming --n-refs, not an empty-ball error blaming eps0
     name = make_series(capsys, 2000)
     rc, out, err = run(capsys, "lyapunov", "--input", name, "--m", "2", "--tau", "1",
                        "--method", "kantz", "--horizon", "12", "--n-refs", n_refs)
     assert rc == 2 and out == ""
-    assert f"n_refs must be >= 1, got {n_refs}" in err
+    assert error_line(err) == arg_error("lyapunov", "--n-refs", "an integer >= 1", n_refs)
 
 
 def test_identify_payload_and_model(workdir, capsys):
@@ -499,25 +634,28 @@ def test_stepwise_default_m_values_follow_features(workdir, capsys, features,
     assert payload["configs_evaluated"] == configs
 
 
-@pytest.mark.parametrize("flags, message", [
-    (("--radius-frac", "-1"), "radius_frac must be finite and > 0, got -1.0"),
-    (("--radius-frac", "0"), "radius_frac must be finite and > 0, got 0.0"),
-    (("--radius-frac", "nan"), "radius_frac must be finite and > 0, got nan"),
-    (("--m-values", "5"), "m_values holds no m in [1, 2], the number of features; "
-                          "got [5]"),
-    (("--m-values", "0,1"), "m_values must be >= 1, got [0, 1]"),
-    (("--tau-values", "0"), "tau_values must be >= 1, got [0]"),
-    (("--features", ","), "no feature transforms given"),
+@pytest.mark.parametrize("flags, line", [
+    (("--radius-frac", "-1"),
+     arg_error("stepwise", "--radius-frac", "finite and > 0", -1)),
+    (("--radius-frac", "0"),
+     arg_error("stepwise", "--radius-frac", "finite and > 0", 0)),
+    (("--radius-frac", "nan"),
+     arg_error("stepwise", "--radius-frac", "finite and > 0", "nan")),
+    (("--m-values", "5"), "usage error: m_values holds no m in [1, 2], the number of "
+                          "features; got [5]"),
+    (("--m-values", "0,1"), arg_error("stepwise", "--m-values", "an integer >= 1", 0)),
+    (("--tau-values", "0"), arg_error("stepwise", "--tau-values", "an integer >= 1", 0)),
+    (("--features", ","), "usage error: no feature transforms given"),
 ], ids=["radius-negative", "radius-zero", "radius-nan", "m-above-features",
         "m-zero", "tau-zero", "features-empty"])
-def test_stepwise_out_of_range_flag_is_usage_error(workdir, capsys, flags, message):
+def test_stepwise_out_of_range_flag_is_usage_error(workdir, capsys, flags, line):
     # a usage error naming the flag, not a run that skips every configuration
     # and then blames the stability gate
     name = make_series(capsys, steps=3000)
     rc, out, err = run(capsys, "stepwise", "--input", name, "--lambda-min", "0.1",
                        *flags)
     assert rc == 2 and out == ""
-    assert err == f"usage error: {message}\n"
+    assert error_line(err) == line
 
 
 def test_symmetry_payload(workdir, capsys):
@@ -627,10 +765,8 @@ def test_q0_dimension_counts_boxes_once(workdir, capsys, monkeypatch):
 
 
 def _subparser_dests():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return {name: {a.dest for a in p._actions if a.dest != "help"}
-            for name, p in sub.choices.items()}
+            for name, p in _subparsers().items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -714,7 +850,8 @@ def test_rosenstein_curve_file_matches_payload(workdir, capsys):
 # exit code, stdout, stderr and files that it gives as the process's first.
 _SEQUENCE = (
     ("lyapunov", "--input", "h.csv", *_EMBED, "--method", "bogus"),  # argparse
-    ("embed", "--input", "h.csv", *_EMBED, "--dt", "0"),  # usage error
+    ("embed", "--input", "h.csv", *_EMBED, "--dt", "0"),  # argparse type
+    ("mi", "--input", "h.csv", "--channel", "5"),  # usage error
     ("lyapunov", "--input", "h.csv", *_EMBED, "--method", "rosenstein",
      "--horizon", "12", "--fit-lo", "50", "--fit-hi", "60"),  # computation
     ("dimension", "--help"),
@@ -743,7 +880,7 @@ def test_reused_parser_leaks_no_state(workdir, capsys, monkeypatch):
     for i, argv in enumerate(_SEQUENCE):
         monkeypatch.setattr(cli, "_PARSER", None)  # as in a fresh process
         first.append(_run_in(workdir / f"first{i}", capsys, monkeypatch, argv))
-    assert [r[0] for r in first] == [2, 2, 1, 0, 0, 0, 0, 0, 0]
+    assert [r[0] for r in first] == [2, 2, 2, 1, 0, 0, 0, 0, 0, 0]
     monkeypatch.setattr(cli, "_PARSER", None)
     for i, argv in enumerate(_SEQUENCE):
         assert _run_in(workdir / f"reused{i}", capsys, monkeypatch, argv) == first[i], argv

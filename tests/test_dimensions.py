@@ -266,6 +266,15 @@ def test_dq_non_increasing(henon_emb):
         assert hi.value >= lo.value - slack
 
 
+@pytest.mark.parametrize("q", [-1.0, math.inf, math.nan])
+def test_generalized_curve_rejects_negative_or_non_finite_q(q):
+    # a ValueError before any box is counted, not RuntimeWarnings from
+    # log2(sum p^inf) and then a ScalingRegionError
+    pts = np.random.default_rng(0).random((200, 2))
+    with pytest.raises(ValueError, match="q must be finite and >= 0"):
+        pk.generalized_curve(pts, q)
+
+
 def test_generalized_constant_data_rejected():
     with pytest.raises(pk.DegenerateDataError):
         pk.generalized_curve(np.ones((50, 2)), 0.0)
