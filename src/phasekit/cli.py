@@ -478,9 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order: 2 = pairwise correlation route, else boxes")
     p.add_argument("--theiler", type=_int_from(0), default=None)
     p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
-                   help="lower eps bound of a manual fit window")
+                   help="lower eps bound of a manual fit window "
+                        "(negative infinity: --fit-lo=-inf)")
     p.add_argument("--fit-hi", type=_NOT_NAN, default=None,
-                   help="upper eps bound of a manual fit window")
+                   help="upper eps bound of a manual fit window "
+                        "(negative infinity: --fit-hi=-inf)")
     p.add_argument("--curve-out", default=None,
                    help="write the log-log curve CSV here")
     p.set_defaults(func=cmd_dimension)
@@ -499,9 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-refs", type=_int_from(1), default=1000,
                    help="kantz: reference point budget")
     p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
-                   help="first offset of a manual fit window")
+                   help="first offset of a manual fit window "
+                        "(negative infinity: --fit-lo=-inf)")
     p.add_argument("--fit-hi", type=_NOT_NAN, default=None,
-                   help="last offset of a manual fit window")
+                   help="last offset of a manual fit window "
+                        "(negative infinity: --fit-hi=-inf)")
     p.add_argument("--renorm-interval", type=_int_from(1), default=1,
                    help="benettin: steps between re-orthonormalizations; "
                         "k > 1 loses about eps*exp((lambda1-lambda2)*k) of "
@@ -533,9 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n-neighbors", type=_int_from(2), default=4)
     p.add_argument("--lambda-min", type=_NOT_NAN, default=0.0,
-                   help="stability gate on 1/max successor spread")
+                   help="stability gate on 1/max successor spread "
+                        "(negative infinity: --lambda-min=-inf)")
     p.add_argument("--gate", type=_NOT_NAN, default=None,
-                   help="error gate: e_psi at or above this zeroes the forecast")
+                   help="error gate: e_psi at or above this zeroes the forecast "
+                        "(negative infinity: --gate=-inf)")
     p.add_argument("--theiler", type=_int_from(0), default=None)
     p.set_defaults(func=cmd_predict)
 
@@ -547,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of embedding dimensions "
                         "(default 1 to the number of features)")
     p.add_argument("--tau-values", type=_comma_list(_int_from(1)), default="1,2,3")
-    p.add_argument("--lambda-min", type=_NOT_NAN, required=True)
+    p.add_argument("--lambda-min", type=_NOT_NAN, required=True,
+                   help="stability gate on 1/max successor spread, per "
+                        "configuration (negative infinity: --lambda-min=-inf)")
     p.add_argument("--radius-frac", type=_POSITIVE, default=0.25,
                    help="neighborhood radius per sqrt(m), standardized units")
     p.add_argument("--channel", type=int, default=0)

@@ -6,9 +6,13 @@ jac are derived from them.  Flows are integrated with classical fixed-step
 RK4 (no adaptive stepping, so runs are bit-reproducible), maps by direct
 iteration, both stepping the scalar forms on Python floats: for states of a
 few components numpy's per-call cost would outweigh the arithmetic, and the
-elementwise operations are the same IEEE operations either way.  The same
-integrators step lyapunov.benettin_exact's variational system, rk4_floats on
-floats and rk4_step on arrays (whose f and jac are the array forms).  A
+elementwise operations are the same IEEE operations either way.  The float
+RK4 step is written out component by component for each state width: one
+source template is compiled with exec on the first step of a state of that
+width and cached, so importing this module builds nothing.  It runs
+rk4_step's operations in rk4_step's order.  The same integrators step
+lyapunov.benettin_exact's variational system, rk4_floats on floats and
+rk4_step on arrays (whose f and jac are the array forms).  A
 system's Jacobian is checked against central finite differences the first
 time the catalog looks that system up in a process; NAMES lists the systems
 without building or checking any.
@@ -235,17 +239,47 @@ def rk4_step(f: Callable, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_floats(rhs: Callable, x: Sequence[float], t: float, dt: float) -> list:
-    """rk4_step on Python floats for a scalar rhs: the same operations in the
-    same order, so the result is bit-identical to rk4_step on its array form."""
+def _each(term: str, n: int) -> str:
+    """term once for each index 0..n-1, which stands in for every '@', each
+    followed by ', ' (so that a single term still makes a tuple)."""
+    return "".join(term.replace("@", str(i)) + ", " for i in range(n))
+
+
+def _compile(name: str, source: str, **names) -> Callable:
+    """The function `name` that source defines, with names as its globals;
+    tracebacks and profiles show its code as file <name>."""
+    namespace = dict(names)
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_RK4_KERNELS: dict[int, Callable] = {}  # width -> rk4_floats(width)
+
+
+def rk4_floats(width: int) -> Callable:
+    """rk4_step for float states of `width` components, as kernel(rhs, x, t, dt).
+
+    The kernel takes a scalar rhs and returns the next state as a list.  It
+    is written out component by component from one template, compiled on the
+    first call for each width and cached, so a step builds no per-component
+    list.  It runs the same IEEE operations in the same order as rk4_step,
+    so its result is bit-identical to rk4_step on rhs's array form.
+    """
+    kernel = _RK4_KERNELS.get(width)
+    if kernel is None:
+        name = f"rk4_floats_{width}"
+        kernel = _RK4_KERNELS[width] = _compile(name, f"""\
+def {name}(rhs, x, t, dt):
+    {_each("x@", width)}= x
     h = 0.5 * dt
-    k1 = rhs(x, t)
-    k2 = rhs([a + h * b for a, b in zip(x, k1)], t + h)
-    k3 = rhs([a + h * b for a, b in zip(x, k2)], t + h)
-    k4 = rhs([a + dt * b for a, b in zip(x, k3)], t + dt)
+    {_each("p@", width)}= rhs(x, t)
+    {_each("q@", width)}= rhs(({_each("x@ + h * p@", width)}), t + h)
+    {_each("r@", width)}= rhs(({_each("x@ + h * q@", width)}), t + h)
+    {_each("s@", width)}= rhs(({_each("x@ + dt * r@", width)}), t + dt)
     c = dt / 6.0
-    return [a + c * (p + 2.0 * q + 2.0 * r + s)
-            for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    return [{_each("x@ + c * (p@ + 2.0 * q@ + 2.0 * r@ + s@)", width)}]
+""")
+    return kernel
 
 
 def _run(system: ReferenceSystem, x0, steps: int, advance: Callable) -> np.ndarray:
@@ -274,10 +308,10 @@ def integrate(system: ReferenceSystem, x0, dt: float, steps: int,
     """RK4-integrate a flow; returns the (steps+1, dim) trajectory incl. x0."""
     if system.kind != "flow":
         raise ValueError(f"{system.name} is a map; use iterate()")
-    rhs = system.rhs
+    rhs, step = system.rhs, rk4_floats(system.dim)
     # step i starts at t0 + i*dt, the first at t0 itself (which keeps a -0.0)
     return _run(system, x0, steps,
-                lambda x, i: rk4_floats(rhs, x, t0 + i * dt if i else t0, dt))
+                lambda x, i: step(rhs, x, t0 + i * dt if i else t0, dt))
 
 
 def iterate(system: ReferenceSystem, x0, steps: int) -> np.ndarray:

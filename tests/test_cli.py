@@ -275,6 +275,32 @@ def test_nan_float_flag_is_usage_error(workdir, capsys, argv, message):
     assert error_line(err) == f"phasekit {argv[0]}: error: argument {message}"
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("predict", _EMBED), ("stepwise", ())])
+def test_negative_infinity_takes_the_equals_form(workdir, capsys, command, argv):
+    # argparse reads a spaced "-inf" as an option, so the help of each flag
+    # that takes a negative infinity names the --flag=-inf form
+    name = make_series(capsys, 600)
+    rc, out, err = run(capsys, command, "--input", name, *argv, "--lambda-min=-inf")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["params"]["lambda_min"] == "-inf"
+    rc, out, err = run(capsys, command, "--input", name, *argv, "--lambda-min", "-inf")
+    assert rc == 2 and out == ""
+    assert error_line(err) == (f"phasekit {command}: error: argument --lambda-min: "
+                               "expected one argument")
+
+
+def test_negative_infinity_flags_name_the_equals_form():
+    flags = {"dimension": ("--fit-lo", "--fit-hi"), "lyapunov": ("--fit-lo", "--fit-hi"),
+             "predict": ("--lambda-min", "--gate"), "stepwise": ("--lambda-min",)}
+    parsers = _subparsers()
+    for command, names in flags.items():
+        helps = {a.option_strings[0]: a.help for a in parsers[command]._actions
+                 if a.option_strings}
+        for flag in names:
+            assert f"{flag}=-inf" in helps[flag], (command, flag)
+
+
 def test_linalg_error_is_computation_error(workdir, capsys, monkeypatch):
     # LinAlgError subclasses ValueError, yet it reports a failed computation
     def singular(*args, **kwargs):

@@ -152,3 +152,27 @@ def test_package_resolves_its_names_on_access(tmp_path):
         "submodule": "phasekit.lyapunov",
         "unknown": "module 'phasekit' has no attribute 'no_such_name'",
         "unbound": [], "foreign": [], "undirected": []}
+
+
+_KERNELS = """
+import json
+from phasekit import cli, lyapunov, systems
+stages = {}
+cli.build_parser()
+stages["build_parser"] = sorted(systems._RK4_KERNELS)
+for argv in (["simulate", "--system", "henon", "--steps", "300", "--out", "h.csv"],
+             ["simulate", "--system", "lorenz", "--steps", "300", "--out", "l.csv"]):
+    rc = cli.main(argv)
+    stages[argv[2]] = sorted(systems._RK4_KERNELS) if rc == 0 else f"exit {rc}"
+stages["frame kernels"] = sorted({*lyapunov._FRAME_PRODUCTS, *lyapunov._QR_STEPS})
+print(json.dumps(stages))
+"""
+
+
+def test_float_kernels_are_built_on_the_first_flow_step(tmp_path):
+    # neither importing nor building the parser compiles a kernel; a map
+    # steps without one, and a flow builds the one for its width
+    done = _python(tmp_path, "-c", _KERNELS)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "build_parser": [], "henon": [], "lorenz": [3], "frame kernels": []}

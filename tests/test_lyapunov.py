@@ -331,8 +331,8 @@ def _frames(draw):
 def test_qr_step_matches_lapack(w):
     n, k = w.shape
     sigma = [0.0] * k
-    frame = [tuple(col) + (0.0,) * (3 - n) for col in w.T.tolist()]
-    q = np.array(lyapunov._qr_step(frame, sigma)).T
+    frame = [v for col in w.T.tolist() for v in tuple(col) + (0.0,) * (3 - n)]
+    q = np.array(lyapunov._qr_step(k)(frame, sigma)).reshape(k, 3).T
     q_ref, r_ref = np.linalg.qr(w)
     diag = np.diag(r_ref)
     np.testing.assert_allclose(np.exp(sigma), np.abs(diag), rtol=1e-12)
@@ -344,16 +344,16 @@ def test_qr_step_matches_lapack(w):
 def test_qr_step_keeps_aligned_columns_orthonormal(gap):
     # columns at angles of about gap, as between renormalisations of a
     # chaotic frame; one Gram-Schmidt pass would leave Q off by eps/gap
-    frame = [(1.0, 0.5, -0.25), (1.0, 0.5 + gap, -0.25), (1.0, 0.5, -0.25 + gap)]
-    q = np.array(lyapunov._qr_step(frame, [0.0] * 3))
+    frame = [1.0, 0.5, -0.25, 1.0, 0.5 + gap, -0.25, 1.0, 0.5, -0.25 + gap]
+    q = np.array(lyapunov._qr_step(3)(frame, [0.0] * 3)).reshape(3, 3)
     np.testing.assert_allclose(q @ q.T, np.eye(3), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("frame", [[(0.0, 0.0, 0.0)],
-                                   [(1.0, 2.0, 0.0), (0.0, 0.0, 0.0)]])
+@pytest.mark.parametrize("frame", [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]])
 def test_qr_step_zero_column_is_degenerate(frame):
+    n_cols = len(frame) // 3
     with pytest.raises(pk.DegenerateDataError, match="zero QR diagonal"):
-        lyapunov._qr_step(frame, [0.0] * len(frame))
+        lyapunov._qr_step(n_cols)(frame, [0.0] * n_cols)
 
 
 def _benettin_data_lapack(emb, steps, renorm_interval):
@@ -425,6 +425,77 @@ def test_benettin_exact_states_are_sample_rows(monkeypatch, name, float_width):
     calls = 4 if system.kind == "flow" else 1
     np.testing.assert_array_equal(seen[50 * calls::calls],
                                   pk.sample(system, 300, transient=50))
+
+
+def _rk4_comprehensions(rhs, x, t, dt):
+    """The float RK4 step built stage by stage with comprehensions."""
+    h = 0.5 * dt
+    k1 = rhs(x, t)
+    k2 = rhs([a + h * b for a, b in zip(x, k1)], t + h)
+    k3 = rhs([a + h * b for a, b in zip(x, k2)], t + h)
+    k4 = rhs([a + dt * b for a, b in zip(x, k3)], t + dt)
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+
+
+def _mat_frame_columns(m, frame):
+    """m @ W by a loop over W's 3-component columns."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    col = iter(frame)
+    out = []
+    for p, q, r in zip(col, col, col):
+        out += (a * p + b * q + c * r, d * p + e * q + f * r, g * p + h * q + i * r)
+    return out
+
+
+def _qr_step_columns(frame, sigma):
+    """Twice-projected Gram-Schmidt by loops over W's 3-component columns."""
+    col = iter(frame)
+    q = []
+    for j, (x, y, z) in enumerate(zip(col, col, col)):
+        for _ in (0, 1) if q else ():
+            for a, b, c in q:
+                d = a * x + b * y + c * z
+                x, y, z = x - d * a, y - d * b, z - d * c
+        r = math.hypot(x, y, z)
+        sigma[j] += math.log(r)
+        q.append((x / r, y / r, z / r))
+    return [v for column in q for v in column]
+
+
+@pytest.mark.parametrize("name, n_exp, renorm_interval", [
+    ("lorenz", 3, 1), ("lorenz", 2, 1), ("lorenz", 3, 3),
+    ("henon", 1, 1), ("henon", 2, 1), ("henon", 2, 3), ("example2", 2, 1)])
+def test_written_out_kernels_give_the_loops_exponents(monkeypatch, name, n_exp,
+                                                      renorm_interval):
+    # The width-specialised RK4 step, frame product and QR step run the
+    # loops' operations in the loops' order, so the exponents are equal, not
+    # close.
+    system = pk.catalog(name)
+
+    def run():
+        return pk.benettin_exact(system, 2000, n_exp=n_exp,
+                                 renorm_interval=renorm_interval).exponents
+
+    written_out = run()
+    monkeypatch.setattr(lyapunov, "rk4_floats", lambda width: _rk4_comprehensions)
+    monkeypatch.setattr(lyapunov, "_mat_frame", lambda n_cols: _mat_frame_columns)
+    monkeypatch.setattr(lyapunov, "_qr_step", lambda n_cols: _qr_step_columns)
+    assert written_out == run()
+
+
+@pytest.mark.parametrize("n_exp", [1, 2])
+def test_written_out_frame_kernels_give_the_loops_data_exponents(
+        henon_emb, monkeypatch, n_exp):
+    def run():
+        return pk.benettin_data(henon_emb, steps=3000, n_exp=n_exp,
+                                renorm_interval=2).exponents
+
+    written_out = run()
+    monkeypatch.setattr(lyapunov, "_mat_frame", lambda n_cols: _mat_frame_columns)
+    monkeypatch.setattr(lyapunov, "_qr_step", lambda n_cols: _qr_step_columns)
+    assert written_out == run()
 
 
 def _diagonal_linear(kind, coeffs):

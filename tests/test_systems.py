@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,60 @@ def test_sample_is_bit_identical_to_array_stepping(name):
     transient = 0 if name == "example3" else 500
     np.testing.assert_array_equal(pk.sample(sys, steps, transient=transient),
                                   _sample_reference(sys, steps, transient))
+
+
+def _forced_ring(width):
+    """A forced flow with cubic damping that couples each component to its
+    ring neighbours, so the stages differ enough for a reordered sum in the
+    step to change its rounding."""
+    def rhs(x, t):
+        return tuple(x[(i + 1) % width] - 0.5 * x[i - 1] - v * v * v
+                     + (i + 1) * math.cos(t) for i, v in enumerate(x))
+
+    def rhs_jac(x, t):
+        raise NotImplementedError  # the step never reads it
+
+    return pk.ReferenceSystem(f"ring-{width}", "flow", width, rhs, rhs_jac,
+                              x0_default=tuple(0.25 * (i + 1) for i in range(width)),
+                              dt_default=0.1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 12])
+def test_rk4_kernel_is_bit_identical_to_rk4_step(width):
+    system = _forced_ring(width)
+    step = systems.rk4_floats(width)
+    assert systems.rk4_floats(width) is step  # built once per width
+    x, t, dt = list(system.x0_default), 0.3, system.dt_default
+    arr = np.array(x)
+    for _ in range(200):
+        x = step(system.rhs, x, t, dt)
+        arr = pk.rk4_step(system.f, arr, t, dt)
+        assert type(x) is list and len(x) == width
+        np.testing.assert_array_equal(x, arr)
+        t += dt
+
+
+def test_integrate_from_nonzero_time_is_bit_identical_to_array_stepping():
+    # example2's forcing reads t, so every step must see its own start time
+    system = pk.catalog("example2")
+    t0, dt = 1.7, 0.1
+    x = np.asarray(system.x0_default, dtype=float)
+    rows = [x]
+    for i in range(800):
+        x = pk.rk4_step(system.f, x, t0 + i * dt, dt)
+        rows.append(x)
+    np.testing.assert_array_equal(
+        pk.integrate(system, system.x0_default, dt, 800, t0=t0), np.array(rows))
+
+
+def test_integrate_names_the_step_past_the_norm_limit():
+    # dx/dt = x grows by RK4's R(100) = 4.3e6 per step of dt = 100, so the
+    # state first passes the 1e100 limit at step 16
+    system = pk.ReferenceSystem("growth", "flow", 1, lambda x, t: (x[0],),
+                                lambda x, t: ((1.0,),))
+    np.testing.assert_array_less(np.abs(pk.integrate(system, (1.0,), 100.0, 15)), 1e100)
+    with pytest.raises(pk.DivergenceError, match="growth: state diverged at step 16$"):
+        pk.integrate(system, (1.0,), 100.0, 40)
 
 
 def test_transient_map_rides_bounded_window():
