@@ -146,23 +146,56 @@ def _wolf_reference(emb, angle_tol, evolve_steps=1):
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
-def test_wolf_replacement_scan_matches_brute_force(monkeypatch, decimals):
+def test_wolf_replacement_scan_matches_brute_force(decimals):
     # i.i.d. noise in 3-D: a cosine of 0.999 needs a direction within 2.6
-    # degrees, which for most rows none of the 50 nearest candidates has, so
-    # most replacements come from the full scan.  Rounding repeats points.
+    # degrees, which for most rows none of the pooled nearest candidates
+    # has, so most replacements come from the full scan.  Rounding repeats
+    # points.
     y = np.random.default_rng(5).uniform(size=400)
     if decimals is not None:
         y = np.round(y, decimals)
     emb = pk.embed(pk.TimeSeries(y), 3, 1)
-    scans = []
-    ranked = pk.NeighborIndex.ranked
-    monkeypatch.setattr(pk.NeighborIndex, "ranked",
-                        lambda self, *a: scans.append(1) or ranked(self, *a))
     res = pk.wolf_lambda1(emb, angle_tol=0.999)
-    assert len(scans) > res.segments // 2
+    assert res.scanned > res.segments // 2
     want, segments = _wolf_reference(emb, 0.999)
     assert res.segments == segments
     assert res.lambda1 == pytest.approx(want, rel=1e-12)
+
+
+_WOLF_SERIES = {
+    "henon": lambda: pk.sample(pk.catalog("henon"), 2000)[:, 0],
+    "henon-rounded": lambda: np.round(pk.sample(pk.catalog("henon"), 2000)[:, 0], 2),
+    "lorenz": lambda: pk.sample(pk.catalog("lorenz"), 2000, dt=0.01)[:, 0],
+    "noise": lambda: np.random.default_rng(5).uniform(size=400),
+}
+
+
+@pytest.mark.parametrize("series, m, tau, evolve_steps, angle_tol", [
+    ("henon", 2, 1, 1, 0.9),
+    ("henon-rounded", 2, 1, 1, 0.9),
+    ("lorenz", 3, 17, 1, 0.9),
+    ("lorenz", 3, 17, 10, 0.9),
+    ("noise", 3, 1, 1, 0.999),
+], ids=["henon", "henon-rounded", "lorenz-evolve1", "lorenz-evolve10", "noise-relaxed"])
+def test_wolf_pool_walk_equals_the_full_scan(monkeypatch, series, m, tau, evolve_steps,
+                                             angle_tol):
+    # The pool is a prefix of the exact (distance, row) order and both paths
+    # form each cosine alike, so every replacement, and hence lambda1, is
+    # bit-identical when every row scans.
+    emb = pk.embed(pk.TimeSeries(_WOLF_SERIES[series]()), m, tau)
+    pooled = pk.wolf_lambda1(emb, evolve_steps=evolve_steps, angle_tol=angle_tol)
+
+    def no_pool(self, rows, k):
+        raise pk.InsufficientDataError("pool disabled")
+
+    monkeypatch.setattr(pk.NeighborIndex, "knn_many", no_pool)
+    scanned = pk.wolf_lambda1(emb, evolve_steps=evolve_steps, angle_tol=angle_tol)
+    assert scanned.lambda1 == pooled.lambda1
+    assert scanned.segments == pooled.segments
+    assert scanned.relaxed == pooled.relaxed
+    assert scanned.scanned >= scanned.segments > pooled.scanned
+    if series == "noise":
+        assert pooled.relaxed > 0
 
 
 def test_wolf_on_repeated_points_warns_nothing():
