@@ -13,12 +13,14 @@ Flag values are checked before any input is read: the argparse type of
 each flag whose range needs no data and no other flag rejects a bad value.
 The commands check the rest (--channel, --n, --k-neighbors, --basis, the
 --x0 length, --m-values against --features, --dt with --time-column, the
---fit-lo/--fit-hi pair and lyapunov flags the --method does not read).
+--fit-lo/--fit-hi pair and the route flags).  _ROUTES lists the flags each
+route of lyapunov (--method) and dimension (--q 2 or another --q) reads,
+with the value each takes when not given: a route flag given to a route
+that does not read it is a usage error, and one it does not read echoes null.
 
 Randomness is confined to simulate's --seed flag (default DEFAULT_SEED = 0),
 which seeds its --noise; no other command draws random numbers, so no other
-command takes a seed.  The PHASEKIT_OUT_DIR environment variable, when set,
-prefixes relative output paths.
+command takes a seed.
 
 Each command imports the estimator modules it runs inside its cmd_*
 function, so a process loads only what its command uses; building the
@@ -34,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -74,24 +75,12 @@ def canonical(obj):
     return obj
 
 
-def _resolve_out(path):
-    if path is None:
-        return None
-    p = Path(path)
-    base = os.environ.get("PHASEKIT_OUT_DIR")
-    if base and not p.is_absolute():
-        p = Path(base) / p
-        p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 def _emit(payload: dict, out=None) -> None:
     text = json.dumps(canonical(payload), sort_keys=True, indent=2) + "\n"
-    out = _resolve_out(out)
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        Path(out).write_text(text)
 
 
 def _params(args, **resolved) -> dict:
@@ -138,8 +127,7 @@ def cmd_simulate(args) -> dict:
         rng = np.random.default_rng(args.seed)
         values = values + rng.normal(0.0, args.noise, size=values.shape)
     series = TimeSeries(values, dt=dt if system.kind == "flow" else 1.0)
-    out = _resolve_out(args.out)
-    save_csv(series, out)
+    save_csv(series, args.out)
     params = _params(args, dt=dt,
                      x0=list(system.x0_default if args.x0 is None else args.x0))
     payload = {"command": "simulate", "params": params,
@@ -178,7 +166,7 @@ def cmd_embed(args) -> dict:
     series, emb = _load_embedding(args)
     params = _params(args, dt=series.dt)
     if args.out:
-        save_csv(embedding_to_series(emb), _resolve_out(args.out))
+        save_csv(embedding_to_series(emb), args.out)
     payload = {"command": "embed", "params": params,
                "n_points": emb.n_points, "width": emb.width,
                "n_channels": emb.n_channels,
@@ -187,12 +175,39 @@ def cmd_embed(args) -> dict:
     return payload
 
 
+# command -> (route flag, {route: {flag it reads: value when not given}});
+# every route of a command reads the command's flags that are not listed
+_FIT = {"fit_lo": None, "fit_hi": None, "curve_out": None}
+_ROUTES = {
+    "lyapunov": ("method", {
+        "wolf": {"evolve_steps": 1}, "rosenstein": {"horizon": 50, **_FIT},
+        "kantz": {"horizon": 50, "eps0": None, "n_refs": 1000, **_FIT},
+        "benettin": {"renorm_interval": 1, "k_neighbors": None, "kind": "flow"}}),
+    "dimension": ("q", {"2": {"theiler": None, **_FIT}, "other than 2": _FIT}),
+}
+
+
+def _route(args, route) -> None:
+    """Give each flag that route reads, if not given, the route's default; a
+    route flag given to a route that does not read it is a usage error."""
+    key, routes = _ROUTES[args.command]
+    reads = routes[route]
+    for dest in dict.fromkeys(d for flags in routes.values() for d in flags):
+        if dest in reads and getattr(args, dest) is None:
+            setattr(args, dest, reads[dest])
+        elif dest not in reads and getattr(args, dest) is not None:
+            readers = " or ".join(r for r, flags in routes.items() if dest in flags)
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
+                             f"--{key} {readers}")
+
+
 def cmd_dimension(args) -> dict:
     from . import dimensions as dim
 
+    _route(args, "2" if args.q == 2.0 else "other than 2")
     fit_range = _fit_range(args)
     series, emb = _load_embedding(args)
-    theiler = _theiler(args, emb)
+    theiler = _theiler(args, emb) if args.q == 2.0 else None
     if args.q == 2.0:
         curve = dim.correlation_integral(emb, theiler=theiler)
         est = dim.correlation_dimension(curve, fit_range=fit_range)
@@ -204,7 +219,7 @@ def cmd_dimension(args) -> dict:
         est = dim.fit_dimension(epsilons, ordinate, args.q, fit_range)
         log_eps = np.log2(epsilons)
     if args.curve_out:
-        write_numeric_table(_resolve_out(args.curve_out), ("log2_eps", "ordinate"),
+        write_numeric_table(args.curve_out, ("log2_eps", "ordinate"),
                             np.column_stack([log_eps, ordinate]))
     params = _params(args, dt=series.dt, theiler=theiler)
     payload = {"command": "dimension", "params": params,
@@ -215,23 +230,13 @@ def cmd_dimension(args) -> dict:
     return payload
 
 
-# lyapunov flags, None by default, that only some --method routes read
-_ROUTE_ONLY = {"fit_lo": ("rosenstein", "kantz"), "fit_hi": ("rosenstein", "kantz"),
-               "curve_out": ("rosenstein", "kantz"), "eps0": ("kantz",),
-               "k_neighbors": ("benettin",)}
-
-
 def cmd_lyapunov(args) -> dict:
     from . import lyapunov as lyap
 
-    for dest, methods in _ROUTE_ONLY.items():
-        if getattr(args, dest) is not None and args.method not in methods:
-            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
-                             f"--method {' or '.join(methods)}")
+    _route(args, args.method)
     fit_range = _fit_range(args)
     series, emb = _load_embedding(args)
     theiler = _theiler(args, emb)
-    eps0 = args.eps0
     payload = {"command": "lyapunov", "method": args.method}
 
     if args.method == "wolf":
@@ -247,11 +252,10 @@ def cmd_lyapunov(args) -> dict:
         else:
             curve = lyap.kantz_curve(emb, args.eps0, args.horizon, theiler=theiler,
                                      n_refs=args.n_refs)
-            eps0 = curve.eps0
+            args.eps0 = curve.eps0
         rate = lyap.divergence_rate(curve, fit_range=fit_range)
         if args.curve_out:
-            write_numeric_table(_resolve_out(args.curve_out),
-                                ("offset", "mean_log_distance"),
+            write_numeric_table(args.curve_out, ("offset", "mean_log_distance"),
                                 np.column_stack([curve.offsets, curve.values]))
         payload.update({"lambda1_per_sample": rate.value,
                         "lambda1_per_time": rate.value / series.dt,
@@ -272,7 +276,7 @@ def cmd_lyapunov(args) -> dict:
                        "dissipative": checks.dissipative,
                        "zero_exponent_ok": checks.zero_exponent_ok,
                        "entropy_rate": checks.entropy_rate}})
-    payload["params"] = _params(args, dt=series.dt, theiler=theiler, eps0=eps0)
+    payload["params"] = _params(args, dt=series.dt, theiler=theiler)
     _emit(payload, args.out)
     return payload
 
@@ -290,7 +294,7 @@ def cmd_identify(args) -> dict:
                           smooth_window=args.smooth_window)
     model_json = json.loads(model.to_json())
     if args.model_out:
-        _resolve_out(args.model_out).write_text(model.to_json() + "\n")
+        Path(args.model_out).write_text(model.to_json() + "\n")
     params = _params(args, dt=series.dt)
     payload = {"command": "identify", "params": params, "model": model_json,
                "fit": list(model.fit) if model.fit is not None else None,
@@ -363,7 +367,7 @@ def cmd_symmetry(args) -> dict:
     spec_a = ct.dft(pts_a)
     norm_a = ct.normalize(spec_a)
     if args.spectrum_out:
-        ct.save_spectrum(_resolve_out(args.spectrum_out), spec_a)
+        ct.save_spectrum(args.spectrum_out, spec_a)
     payload = {"command": "symmetry", "params": _params(args),
                "a": _descriptor_dict(norm_a[1]),
                "b": None, "comparison": None}
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", type=_NON_NEGATIVE, default=2.0,
                    help="order: 2 = pairwise correlation route, else boxes")
-    p.add_argument("--theiler", type=_int_from(0), default=None)
+    p.add_argument("--theiler", type=_int_from(0), help="read only by --q 2")
     p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
                    help="lower eps bound of a manual fit window "
                         "(negative infinity: --fit-lo=-inf)")
@@ -492,13 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=("wolf", "rosenstein", "kantz", "benettin"))
     p.add_argument("--theiler", type=_int_from(0), default=None)
-    p.add_argument("--evolve-steps", type=_int_from(1), default=1,
+    p.add_argument("--evolve-steps", type=_int_from(1), default=None,
                    help="wolf: steps between replacements")
-    p.add_argument("--horizon", type=_int_from(1), default=50,
+    p.add_argument("--horizon", type=_int_from(1), default=None,
                    help="rosenstein/kantz: divergence curve length")
     p.add_argument("--eps0", type=_POSITIVE, default=None,
                    help="kantz: neighborhood radius (default 1%% of diameter)")
-    p.add_argument("--n-refs", type=_int_from(1), default=1000,
+    p.add_argument("--n-refs", type=_int_from(1), default=None,
                    help="kantz: reference point budget")
     p.add_argument("--fit-lo", type=_NOT_NAN, default=None,
                    help="first offset of a manual fit window "
@@ -506,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-hi", type=_NOT_NAN, default=None,
                    help="last offset of a manual fit window "
                         "(negative infinity: --fit-hi=-inf)")
-    p.add_argument("--renorm-interval", type=_int_from(1), default=1,
+    p.add_argument("--renorm-interval", type=_int_from(1), default=None,
                    help="benettin: steps between re-orthonormalizations; "
                         "k > 1 loses about eps*exp((lambda1-lambda2)*k) of "
                         "relative accuracy in log r_jj per renormalization")
     p.add_argument("--k-neighbors", type=int, default=None,
                    help="benettin: neighbors per local Jacobian fit "
                         "(default 2m+1)")
-    p.add_argument("--kind", choices=("flow", "map"), default="flow",
+    p.add_argument("--kind", choices=("flow", "map"), default=None,
                    help="benettin: neutral-direction check applies to flows")
     p.add_argument("--curve-out", default=None,
                    help="write the divergence curve CSV here")

@@ -30,7 +30,13 @@ class DivergenceError(PhasekitError):
 
 
 class ConfigError(PhasekitError):
-    """Inconsistent or missing parameters for the requested operation."""
+    """A request that the given parameters or data cannot serve: an unknown
+    system name or identify mode, a plane index out of range, a contour that
+    is not a 2-d array of at least 3 finite vertices, spectra or contours of
+    different shapes, a time basis that overflows on its interval, a feature
+    of the wrong length, or every Kantz eps0 ball empty.  Several of these
+    are faults of the data, not of a flag, and it is not a ValueError: the
+    CLI reports it as a failed computation (exit 1)."""
 
 
 class NoInteriorMinimumWarning(UserWarning):

@@ -166,8 +166,8 @@ _FIT_ROUTES = "rosenstein or kantz"
 
 # Each of these exits 2 before the input is read (it does not exist here) or
 # a system is integrated, and writes no file.  The parser rejects a value that
-# no data can make valid; the command rejects a lyapunov flag given to a
-# --method that does not read it, and a reversed fit range.
+# no data can make valid; the command rejects a route flag given to a route
+# that does not read it, and a reversed fit range.
 @pytest.mark.parametrize("argv, line", [
     pytest.param(("mi", "--bins", "1"), arg_error("mi", "--bins", "an integer >= 2", 1),
                  id="bins-1"),
@@ -213,6 +213,12 @@ _FIT_ROUTES = "rosenstein or kantz"
                  id="rosenstein-eps0"),
     pytest.param(("lyapunov", *_EMBED, "--method", "kantz", "--k-neighbors", "5"),
                  _ROUTE_FLAG.format("k-neighbors", "benettin"), id="kantz-k-neighbors"),
+    pytest.param((*_WOLF, "--horizon", "7", "--n-refs", "5", "--renorm-interval", "3"),
+                 _ROUTE_FLAG.format("horizon", _FIT_ROUTES), id="wolf-horizon"),
+    pytest.param(("lyapunov", *_EMBED, "--method", "benettin", "--n-refs", "5"),
+                 _ROUTE_FLAG.format("n-refs", "kantz"), id="benettin-n-refs"),
+    pytest.param(("dimension", *_EMBED, "--q", "0", "--theiler", "5"),
+                 "usage error: --theiler applies only to --q 2", id="boxes-theiler"),
     pytest.param(("dimension", *_EMBED, "--fit-lo", "0.5", "--fit-hi", "0.1"),
                  "usage error: --fit-lo must be <= --fit-hi, got 0.5 > 0.1",
                  id="dimension-fit-reversed"),
@@ -236,6 +242,103 @@ def test_bad_flag_exits_2_before_any_work(workdir, capsys, monkeypatch, argv, li
 def _subparsers():
     return next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The flags that every route of a routed command reads; _ROUTES lists the rest.
+_SHARED = {"input", "dt", "time_column", "m", "tau", "channel", "out"}
+_READ_BY_EVERY_ROUTE = {"lyapunov": _SHARED | {"method", "theiler"},
+                        "dimension": _SHARED | {"q"}}
+
+
+def _route_flags(command):
+    """The flags in command's _ROUTES entry, in table order."""
+    return list(dict.fromkeys(d for reads in cli._ROUTES[command][1].values()
+                              for d in reads))
+
+
+def test_every_route_flag_is_declared():
+    # a new flag of a routed command must say which routes read it: a place
+    # in _ROUTES, or in the list above when every route reads it.  A route
+    # flag has no argparse default, so a given flag is told from an omitted one.
+    parsers = _subparsers()
+    assert set(cli._ROUTES) == set(_READ_BY_EVERY_ROUTE)
+    for command, shared in _READ_BY_EVERY_ROUTE.items():
+        actions = {a.dest: a for a in parsers[command]._actions if a.dest != "help"}
+        assert set(actions) == shared | set(_route_flags(command))
+        assert not shared & set(_route_flags(command))
+        assert [d for d in _route_flags(command) if actions[d].default is not None] == []
+
+
+# How each route is chosen on the command line, and a valid value of each
+# route flag.
+_ROUTE_ARGV = {"lyapunov": lambda route: ("--method", route),
+               "dimension": lambda route: ("--q", "2" if route == "2" else "0")}
+_FLAG_VALUES = {"evolve_steps": "3", "horizon": "7", "fit_lo": "1", "fit_hi": "2",
+                "curve_out": "c.csv", "eps0": "0.1", "n_refs": "5",
+                "renorm_interval": "3", "k_neighbors": "5", "kind": "map",
+                "theiler": "5"}
+
+
+def _unread_route_flags():
+    for command, (key, routes) in cli._ROUTES.items():
+        for route, reads in routes.items():
+            for dest in _route_flags(command):
+                if dest not in reads:
+                    readers = " or ".join(r for r in routes if dest in routes[r])
+                    yield pytest.param(command, route, dest, f"--{key} {readers}",
+                                       id=f"{command}-{route}-{dest}")
+
+
+@pytest.mark.parametrize("command, route, dest, readers", _unread_route_flags())
+def test_route_flag_on_a_route_that_does_not_read_it_exits_2(
+        workdir, capsys, monkeypatch, command, route, dest, readers):
+    def read(*args, **kwargs):
+        raise AssertionError("read the input despite a route flag it does not read")
+
+    monkeypatch.setattr(cli, "load_csv", read)
+    flag = "--" + dest.replace("_", "-")
+    rc, out, err = run(capsys, command, "--input", "absent.csv", *_EMBED,
+                       *_ROUTE_ARGV[command](route), flag, _FLAG_VALUES[dest])
+    assert rc == 2 and out == ""
+    assert error_line(err) == f"usage error: {flag} applies only to {readers}"
+    assert list(workdir.iterdir()) == []
+
+
+def test_route_flag_pairs_per_command():
+    # the (route, flag) pairs each command accepts; --theiler, read by every
+    # lyapunov route, is not a route flag there
+    pairs = {c: sum(len(reads) for reads in routes.values())
+             for c, (_, routes) in cli._ROUTES.items()}
+    assert pairs == {"lyapunov": 14, "dimension": 7}
+    # routes x route flags, less the accepted pairs, exit 2
+    assert len(list(_unread_route_flags())) == (4 * 10 - 14) + (2 * 4 - 7)
+
+
+# A route flag echoes the value its route used: null where the route does not
+# read it, or where the route reads it and leaves its default to the estimator
+# (benettin's --k-neighbors).
+@pytest.mark.parametrize("argv, used, null", [
+    (("lyapunov", "--method", "wolf"), {"evolve_steps": 1},
+     {"horizon", "fit_lo", "fit_hi", "curve_out", "eps0", "n_refs", "renorm_interval",
+      "k_neighbors", "kind"}),
+    (("lyapunov", "--method", "kantz", "--fit-lo", "1", "--fit-hi", "8"),
+     {"horizon": 50, "n_refs": 1000, "fit_lo": 1.0, "fit_hi": 8.0},
+     {"evolve_steps", "renorm_interval", "k_neighbors", "kind", "curve_out"}),
+    (("lyapunov", "--method", "benettin"),
+     {"renorm_interval": 1, "kind": "flow"},
+     {"evolve_steps", "horizon", "fit_lo", "fit_hi", "curve_out", "eps0", "n_refs",
+      "k_neighbors"}),
+    (("dimension", "--q", "2"), {"theiler": 2}, {"fit_lo", "fit_hi", "curve_out"}),
+    (("dimension", "--q", "0", "--fit-lo", "0.02", "--fit-hi", "0.5"),
+     {"fit_lo": 0.02, "fit_hi": 0.5}, {"theiler", "curve_out"}),
+], ids=["wolf", "kantz", "benettin", "dimension-pairs", "dimension-boxes"])
+def test_route_flags_echo_what_the_route_used(workdir, capsys, argv, used, null):
+    name = make_series(capsys, 2500)
+    rc, out, _ = run(capsys, argv[0], "--input", name, *_EMBED, *argv[1:])
+    assert rc == 0
+    params = json.loads(out)["params"]
+    assert {d: params[d] for d in used} == used
+    assert {d for d in _route_flags(argv[0]) if params[d] is None} == null
 
 
 # Flags whose type is a bare int: their commands check them against the data
@@ -723,16 +826,6 @@ def test_mi_deterministic(workdir, capsys):
     second = run(capsys, "mi", "--input", name, "--channel", "0",
                  "--tau-max", "10")
     assert first == second
-
-
-def test_out_dir_env_redirect(workdir, capsys, monkeypatch):
-    target = workdir / "routed"
-    monkeypatch.setenv("PHASEKIT_OUT_DIR", str(target))
-    rc, _, _ = run(capsys, "simulate", "--system", "henon",
-                   "--steps", "100", "--out", "nested/run.csv")
-    assert rc == 0
-    assert (target / "nested" / "run.csv").exists()
-    assert not (workdir / "nested").exists()
 
 
 def test_time_column_resolves_dt(workdir, capsys):
