@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -200,14 +201,19 @@ class NeighborIndex:
       distance, row index) order are the answer.  Tree order mostly is that
       order already, so only the points where it is not are re-sorted;
     - a tie at the cut: the pool holds k admissible rows but the cut is not
-      clear.  radius_point at the k-th numpy distance returns every
-      admissible row that could rank, and its first k are the answer;
+      clear.  The ball at the k-th numpy distance holds every admissible row
+      that could rank, and its first k are the answer.  One ball query,
+      at one radius per point, finishes every tied point at once;
     - the last pool holds fewer than k admissible rows: ranked scans every row.
       With distinct times a window excludes at most 2*theiler + 1 rows, so
       this happens only when times repeat or the pool covers every row.
     Every distance comes from row_distances, bit-equal to a brute-force scan.
     A point with fewer than k admissible rows in all raises
     InsufficientDataError; k < 1 raises ValueError.
+
+    radius_point and radius_many run one ball query for any number of query
+    points: one tree call, one Theiler filter, one row_distances call, the
+    eps cut, and one sort by (query point, distance, row index).
     """
 
     def __init__(self, emb_or_points, times=None, theiler: int | None = None):
@@ -228,10 +234,33 @@ class NeighborIndex:
 
         self.tree = cKDTree(self.points)
 
-    def _order(self, query_point: np.ndarray, indices: np.ndarray):
-        d = row_distances(self.points, indices, query_point)
-        order = np.lexsort((indices, d))
-        return indices[order], d[order]
+    def _balls(self, points: np.ndarray, times: np.ndarray, eps):
+        """The admissible rows within eps (inclusive) of each query point at
+        its time, eps being one radius or one per point.
+
+        Returns (rows, distances, starts), flat: ball i is
+        rows[starts[i]:starts[i + 1]] in (distance, row index) order.
+        """
+        eps = np.full(times.shape, eps, dtype=float)
+        lists = self.tree.query_ball_point(points, eps * (1.0 + _TREE_SLACK),
+                                           return_sorted=True)
+        counts = np.fromiter(map(len, lists), dtype=int, count=len(lists))
+        rows = np.fromiter(chain.from_iterable(lists), dtype=int, count=int(counts.sum()))
+        owner = np.repeat(np.arange(len(lists)), counts)
+        keep = np.abs(self.times[rows] - times[owner]) > self.theiler
+        rows, owner = rows[keep], owner[keep]
+        d = row_distances(self.points, rows, points[owner])
+        keep = d <= eps[owner]
+        rows, owner, d = rows[keep], owner[keep], d[keep]
+        # Complex numbers sort by (real, imaginary) part.  Each tree list is
+        # in row order, so a stable sort by (owner, distance) leaves tied
+        # distances in row order.
+        key = np.empty(rows.size, dtype=complex)
+        key.real, key.imag = owner, d
+        order = np.argsort(key, kind="stable")
+        starts = np.zeros(len(lists) + 1, dtype=int)
+        np.cumsum(np.bincount(owner, minlength=len(lists)), out=starts[1:])
+        return rows[order], d[order], starts
 
     def _knn(self, points: np.ndarray, times: np.ndarray, k: int):
         """The k nearest admissible rows of each query point at its time."""
@@ -277,9 +306,13 @@ class NeighborIndex:
                 break
             pool = min(last, 2 * pool)
 
-        for i in np.flatnonzero(tie):
-            ball, ball_d = self.radius_point(points[i], times[i], out_d[i, -1])
-            out_idx[i], out_d[i] = ball[:k], ball_d[:k]
+        tied = np.flatnonzero(tie)
+        if tied.size:
+            # The ball at each tied point's k-th distance holds its k
+            # candidates and every row that could tie with them.
+            ball, ball_d, starts = self._balls(points[tied], times[tied], out_d[tied, -1])
+            first_k = starts[:-1, None] + np.arange(k)
+            out_idx[tied], out_d[tied] = ball[first_k], ball_d[first_k]
         for i in rows:  # fewer than k admissible rows in the last pool
             ranked, ranked_d = self.ranked(points[i], times[i])
             if ranked.size < k:
@@ -307,20 +340,27 @@ class NeighborIndex:
     def ranked(self, point: np.ndarray, time):
         """Every row admissible w.r.t. an explicit time, nearest first: the
         candidates of searches that filter neighbors by more than distance."""
-        q = np.asarray(point, dtype=float)
-        return self._order(q, np.flatnonzero(np.abs(self.times - time) > self.theiler))
+        idx = np.flatnonzero(np.abs(self.times - time) > self.theiler)
+        d = row_distances(self.points, idx, np.asarray(point, dtype=float))
+        order = np.lexsort((idx, d))
+        return idx[order], d[order]
 
     def radius_point(self, point: np.ndarray, time, eps: float):
-        """All rows within eps (inclusive) admissible w.r.t. an explicit time."""
-        q = np.asarray(point, dtype=float)
-        idx = np.asarray(self.tree.query_ball_point(q, eps * (1.0 + _TREE_SLACK)),
-                         dtype=int)
-        idx = idx[np.abs(self.times[idx] - time) > self.theiler]
-        if idx.size == 0:
-            return idx, np.empty(0)
-        idx, d = self._order(q, idx)
-        keep = d <= eps
-        return idx[keep], d[keep]
+        """All rows within eps (inclusive) admissible w.r.t. an explicit time,
+        in (distance, row index) order; returns (indices, distances)."""
+        idx, d, _ = self._balls(np.asarray(point, dtype=float)[None, :],
+                                np.asarray([time]), eps)
+        return idx, d
+
+    def radius_many(self, rows, eps):
+        """radius_point at every given row's own point and time, at once; eps
+        is one radius or one per row.
+
+        Returns (indices, distances, starts), flat: the ball of rows[i] is
+        indices[starts[i]:starts[i + 1]], with its distances alongside.
+        """
+        rows = np.asarray(rows, dtype=int)
+        return self._balls(self.points[rows], self.times[rows], eps)
 
 
 def successor_index(emb: DelayEmbedding, reserve: int = 1,

@@ -42,7 +42,11 @@ class LyapunovSpectrum:
 
 @dataclass(frozen=True)
 class DivergenceCurve:
-    """Mean log separation against step offset; its slope estimates lambda1."""
+    """Mean log separation against step offset; its slope estimates lambda1.
+
+    n_refs references were used, of the n_tried whose neighbors were queried
+    (None on a curve built by hand).
+    """
 
     offsets: np.ndarray
     values: np.ndarray
@@ -50,6 +54,7 @@ class DivergenceCurve:
     dt: float
     method: str
     eps0: float | None = None
+    n_tried: int | None = None
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,7 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
                           | (times - times.min() > index.theiler))
     if refs.size == 0:
         raise InsufficientDataError("no admissible nearest neighbors; lower theiler")
+    n_tried = refs.size
     nns, d0 = index.knn_many(refs, 1)
     keep = d0[:, 0] > 0.0
     refs, nns = refs[keep], nns[keep, 0]
@@ -247,11 +253,13 @@ def rosenstein_curve(emb: DelayEmbedding, horizon: int,
     for i in offsets:
         d = row_distances(pts, refs + i, pts[nns + i])
         values[i] = float(np.mean(np.log(d[d > 0.0])))
-    return DivergenceCurve(offsets, values, refs.size, emb.dt, "rosenstein")
+    return DivergenceCurve(offsets, values, refs.size, emb.dt, "rosenstein",
+                           n_tried=n_tried)
 
 
 # Floats of the largest (references, widest ball, offsets, width) displacement
-# block kantz_curve builds at once.
+# block kantz_curve builds at once; its ball queries run in chunks of as many
+# references as the block holds at one neighbor each.
 _KANTZ_BLOCK = 1 << 18
 
 
@@ -266,11 +274,14 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
     ball is empty the call fails asking for a larger eps0.  n_refs (at least
     1) caps the number of (evenly spaced) reference points; None uses all.
 
-    Each reference gets one radius query.  The averages then run in blocks
-    of references with balls of similar size, each ball zero-padded to the
-    block's widest with copies of its reference (which add exact zeros), so
-    every sum keeps the neighbor order of a per-reference loop and the curve
-    is bit-equal to one.  The logs are summed in reference order.
+    The balls of all references come from one batched ball query
+    (NeighborIndex.radius_many), in reference chunks bounded by
+    _KANTZ_BLOCK, each ball in (distance, row index) order as radius_point
+    returns it; the rows at distance 0 are dropped.  The averages then run in
+    blocks of references with balls of similar size, each ball zero-padded to
+    the block's widest with copies of its reference (which add exact zeros),
+    so every sum keeps the neighbor order of a per-reference loop and the
+    curve is bit-equal to one.  The logs are summed in reference order.
 
     A ball collapsed onto its reference's orbit at some offset (as on coarsely
     quantized data) gives -inf there, a point that no fit window accepts.
@@ -299,21 +310,25 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
     else:
         refs = np.unique(np.linspace(0, n_eligible - 1, n_refs).astype(int))
 
-    kept, balls = [], []
-    for r in refs.tolist():
-        nbrs, d = index.radius_point(pts[r], index.times[r], eps0)
-        nbrs = nbrs[d > 0.0]
-        if nbrs.size:
-            kept.append(r)
-            balls.append(nbrs)
-    if not kept:
-        raise ConfigError("every eps0 neighborhood is empty; increase eps0")
-    used = np.array(kept)
-    sizes = np.array([b.size for b in balls])
     offsets = np.arange(horizon + 1)
+    per_nbr = offsets.size * emb.width
+    chunk = max(1, _KANTZ_BLOCK // per_nbr)
+    nbr_parts, size_parts = [], []
+    for lo in range(0, refs.size, chunk):
+        nbrs, d, starts = index.radius_many(refs[lo:lo + chunk], eps0)
+        keep = d > 0.0      # rows at distance 0 duplicate the reference
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        nbr_parts.append(nbrs[keep])
+        size_parts.append(np.diff(kept_before[starts]))
+    flat = np.concatenate(nbr_parts)
+    sizes = np.concatenate(size_parts)
+    used = refs[sizes > 0]
+    if used.size == 0:
+        raise ConfigError("every eps0 neighborhood is empty; increase eps0")
+    sizes = sizes[sizes > 0]
+    first = np.cumsum(sizes) - sizes    # where each used ball starts in flat
     log_means = np.empty((used.size, offsets.size))
     by_size = np.argsort(sizes, kind="stable")
-    per_nbr = offsets.size * emb.width
     start = 0
     while start < used.size:
         # Grow the block while (references x widest ball) fits the budget.
@@ -321,16 +336,17 @@ def kantz_curve(emb: DelayEmbedding, eps0: float | None = None, horizon: int = 5
         stop = start + max(1, int(np.searchsorted(block, _KANTZ_BLOCK, side="right")))
         sel = by_size[start:stop]
         ref = used[sel]
-        nbrs = np.repeat(ref[:, None], sizes[sel[-1]], axis=1)
-        nbrs[np.arange(nbrs.shape[1]) < sizes[sel][:, None]] = \
-            np.concatenate([balls[i] for i in sel])
+        cols = np.arange(sizes[sel[-1]])
+        inside = cols < sizes[sel][:, None]
+        nbrs = np.repeat(ref[:, None], cols.size, axis=1)
+        nbrs[inside] = flat[(first[sel][:, None] + cols)[inside]]
         here = pts[ref[:, None] + offsets][:, None]     # (refs, 1, offsets, width)
         dist = row_distances(pts, nbrs[:, :, None] + offsets, here)
         with np.errstate(divide="ignore"):  # a collapsed ball logs -inf
             log_means[sel] = np.log(dist.sum(axis=1) / sizes[sel][:, None])
         start = stop
     return DivergenceCurve(offsets, log_means.sum(axis=0) / used.size, used.size,
-                           emb.dt, "kantz", eps0=eps0)
+                           emb.dt, "kantz", eps0=eps0, n_tried=refs.size)
 
 
 def divergence_rate(curve: DivergenceCurve,

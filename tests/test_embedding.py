@@ -302,6 +302,30 @@ def test_knn_on_rounded_henon_matches_brute_force(k):
         np.testing.assert_array_equal(q_d, dist[r])
 
 
+@pytest.mark.parametrize("theiler", [0, 2])
+@pytest.mark.parametrize("decimals", [1, 2])
+def test_knn_many_on_rounded_henon_finishes_ties_in_one_ball_query(decimals, theiler):
+    # At 1 decimal nearly every row ties at its k-th distance, most of them
+    # at distance 0; every tied row is finished by one shared ball query.
+    emb = _rounded_henon_embedding(2000, decimals)
+    index = pk.NeighborIndex(emb, theiler=theiler)
+    ball_queries = []
+    balls = index._balls
+
+    def recording_balls(points, times, eps):
+        ball_queries.append(points.shape[0])
+        return balls(points, times, eps)
+
+    index._balls = recording_balls
+    want_idx, want_d = _brute_knn_all(emb.points, emb.times, 16, theiler)
+    for k in (1, 5, 16):
+        ball_queries.clear()
+        idx, dist = index.knn_many(np.arange(emb.n_points), k)
+        np.testing.assert_array_equal(idx, want_idx[:, :k])
+        np.testing.assert_array_equal(dist, want_d[:, :k])
+        assert len(ball_queries) == 1 and ball_queries[0] > emb.n_points // 10
+
+
 @pytest.mark.parametrize("values", [np.tile(np.arange(4.0), 15),
                                     np.round(pk.sample(pk.catalog("henon"), 300)[:, 0], 1)])
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -470,6 +494,60 @@ def test_radius_query_inclusive_and_ordered():
     idx, dist = _radius(index, 0, 1.0)
     np.testing.assert_array_equal(idx, [1, 2])
     np.testing.assert_allclose(dist, [0.5, 1.0])
+
+
+def _brute_ball(pts, times, row, eps, theiler):
+    """Every admissible row within eps of a row, in (distance, row) order."""
+    adm = np.flatnonzero(np.abs(times - times[row]) > theiler)
+    d = np.sqrt(np.sum((pts[adm] - pts[row]) ** 2, axis=1))
+    order = np.lexsort((adm, d))
+    keep = d[order] <= eps
+    return adm[order][keep], d[order][keep]
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.sampled_from([None, 0, 1]),
+       st.booleans())
+def test_radius_many_matches_brute_force(seed, theiler, decimals, per_point):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 50))
+    pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+    if decimals is not None:  # repeated coordinates: ties and distance-0 rows
+        pts = np.round(pts, decimals)
+    times = np.arange(n)
+    index = pk.NeighborIndex(pts, theiler=theiler)
+    # Radii at an exact row distance (that row is inside), at 0, and random.
+    pair = rng.integers(0, n, size=(n, 2))
+    at_row = np.sqrt(np.sum((pts[pair[:, 0]] - pts[pair[:, 1]]) ** 2, axis=1))
+    eps = np.where(rng.random(n) < 0.7, at_row, rng.uniform(0.0, 1.5, n))
+    eps[rng.random(n) < 0.1] = 0.0
+    if not per_point:
+        eps = eps[0]
+    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    idx, dist, starts = index.radius_many(rows, eps[rows] if per_point else eps)
+    assert starts[0] == 0 and starts[-1] == idx.size == dist.size
+    assert starts.size == rows.size + 1
+    for i, r in enumerate(rows):
+        r_eps = eps[r] if per_point else eps
+        want_idx, want_d = _brute_ball(pts, times, r, r_eps, theiler)
+        np.testing.assert_array_equal(idx[starts[i]:starts[i + 1]], want_idx)
+        np.testing.assert_array_equal(dist[starts[i]:starts[i + 1]], want_d)
+        one_idx, one_d = _radius(index, r, r_eps)
+        np.testing.assert_array_equal(one_idx, want_idx)
+        np.testing.assert_array_equal(one_d, want_d)
+
+
+def test_radius_many_cut_is_inclusive_to_the_last_bit():
+    eps = 0.3
+    pts = np.array([0.0, eps, np.nextafter(eps, np.inf), -eps, 0.0, 2.0])[:, None]
+    index = pk.NeighborIndex(pts, theiler=0)
+    idx, dist, starts = index.radius_many([0, 5, 1], [eps, 0.5, 0.0])
+    np.testing.assert_array_equal(starts, [0, 3, 3, 3])
+    # Row 4 duplicates row 0; row 2 lies one ulp past eps.  Rows 1 and 3
+    # tie at eps and keep row order.
+    np.testing.assert_array_equal(idx, [4, 1, 3])
+    np.testing.assert_array_equal(dist, [0.0, eps, eps])
+    idx, dist, starts = index.radius_many([], eps)
+    assert idx.size == dist.size == 0 and starts.tolist() == [0]
 
 
 def test_neighbor_index_defaults_to_embedding_theiler_window():

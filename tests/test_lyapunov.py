@@ -301,6 +301,20 @@ def test_kantz_batched_means_equal_a_per_reference_loop(monkeypatch, m, decimals
     assert curve.values.tobytes() == want.tobytes()
 
 
+def test_divergence_curves_count_the_references_tried():
+    values = pk.sample(pk.catalog("henon"), 2000)[:, 0]
+    emb = pk.embed(pk.TimeSeries(values), 2, 1)
+    # About two thirds of the balls are empty: those references are tried
+    # but not used.
+    curve = pk.kantz_curve(emb, 0.0005 * pk.data_diameter(emb.points), 12, n_refs=None)
+    assert 0 < curve.n_refs < curve.n_tried == emb.n_points - 12
+    curve = pk.kantz_curve(emb, 0.01 * pk.data_diameter(emb.points), 12, n_refs=300)
+    assert curve.n_tried == 300
+    # Rosenstein tries every row with an admissible neighbor.
+    curve = pk.rosenstein_curve(emb, 12)
+    assert curve.n_refs == curve.n_tried == emb.n_points - 12
+
+
 def test_kantz_every_ball_empty_is_config_error():
     values = np.round(pk.sample(pk.catalog("henon"), 2000)[:, 0], 2)
     emb = pk.embed(pk.TimeSeries(values), 2, 1)
